@@ -58,9 +58,9 @@ cargo run -q -p tempstream-checker --bin check-protocols
 
 echo "== schedule model check =="
 # Exhaustive bounded-preemption DFS + seeded random sweeps over the
-# closed models of channel/deque/pool/spill; any counterexample prints
-# a minimal replayable schedule. The time box degrades the random
-# sweeps, never the exhaustive 2-thread proofs.
+# closed models of the runtime deque/pool and the server's queues; any
+# counterexample prints a minimal replayable schedule. The time box
+# degrades the random sweeps, never the exhaustive 2-thread proofs.
 cargo run -q --release -p tempstream-schedcheck --bin check-schedules -- --budget-secs 120
 # Mutation gate: the checker must still catch a dropped notify_one.
 cargo run -q --release -p tempstream-schedcheck --bin check-schedules -- --expect-mutation
@@ -73,11 +73,13 @@ echo "== determinism gate: reproduce --jobs 1 vs --jobs 4 =="
 # The lint gate above already covers every workspace crate (including
 # tempstream-runtime, picked up by the crates/* glob); here the release
 # binary must emit byte-identical stdout at any worker count. Summaries
-# and progress go to stderr by design so stdout can be diffed.
+# and progress go to stderr by design so stdout can be diffed. The
+# parallel side runs with an unusable TMPDIR: the pipeline keeps every
+# trace in memory and must touch no filesystem.
 det_dir=$(mktemp -d)
 trap 'rm -rf "$det_dir"' EXIT
 ./target/release/reproduce all --quick --jobs 1 >"$det_dir/jobs1.out" 2>/dev/null
-./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
+TMPDIR=/dev/null ./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
 diff "$det_dir/jobs1.out" "$det_dir/jobs4.out" \
   || { echo "determinism gate FAILED: --jobs 4 output differs from --jobs 1"; exit 1; }
 

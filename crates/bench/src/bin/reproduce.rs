@@ -213,9 +213,6 @@ fn write_metrics_json(
                 Json::UInt(s.max_injector_depth as u64),
             );
             r.set("max_deque_depth", Json::UInt(s.max_deque_depth as u64));
-            r.set("max_channel_depth", Json::UInt(s.max_channel_depth as u64));
-            r.set("spilled_traces", Json::UInt(s.spilled_traces as u64));
-            r.set("spilled_bytes", Json::UInt(s.spilled_bytes));
             r
         }),
     );

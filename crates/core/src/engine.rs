@@ -471,9 +471,11 @@ impl<C: Copy> AnalysisEngine<C> {
     }
 
     /// Consumes the engine, yielding the final grammar — the terminal
-    /// snapshot of feed-all-then-snapshot mode. Cheaper than a live
-    /// [`stream_analysis`](Self::stream_analysis) snapshot (no rule
-    /// copy) and exactly the batch pipeline's historical code path.
+    /// snapshot of feed-all-then-snapshot mode and exactly the batch
+    /// pipeline's historical code path. It copies the grammar out of
+    /// the builder (`Sequitur::into_grammar` is a full `grammar()`
+    /// copy), just as a live [`stream_analysis`](Self::stream_analysis)
+    /// snapshot does, but derives no analysis from it.
     pub fn into_grammar(self) -> tempstream_sequitur::Grammar {
         self.seq.into_grammar()
     }

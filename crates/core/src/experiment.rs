@@ -37,8 +37,8 @@ pub struct ExperimentConfig {
     pub scale_override: Option<Scale>,
     /// Cap on the misses fed to the SEQUITUR analysis (memory bound);
     /// class breakdowns always use the full trace. The parallel
-    /// executor also spills traces larger than this to disk between the
-    /// simulate and analyze stages.
+    /// executor truncates each collected trace to this length before
+    /// its analyze stages run.
     pub max_analysis_misses: usize,
 }
 

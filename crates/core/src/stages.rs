@@ -16,10 +16,10 @@
 //! the serial ones regardless of worker count or scheduling order.
 //!
 //! The emit and simulate stages communicate only through the
-//! [`PhasedSink`] trait: the serial path hands the session a simulator
-//! directly, while the runtime hands it a bounded-channel sink feeding a
-//! simulator on another worker. Both observe the identical access
-//! sequence with the identical warmup/measurement boundary.
+//! [`PhasedSink`] trait, which carries the warmup/measurement boundary
+//! to the simulator. Both runners collect through the same
+//! [`collect_multi_chip`] / [`collect_single_chip`] calls, so they
+//! observe the identical access sequence with the identical boundary.
 
 use crate::distribution::{LengthCdf, ReuseDistancePdf};
 use crate::experiment::{

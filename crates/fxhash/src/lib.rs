@@ -16,8 +16,8 @@
 //! be used for attacker-controlled keys; for fixed-width integer keys
 //! produced by the simulators it is several times cheaper than SipHash
 //! and — having no seed — yields the same hash for the same key in
-//! every process, which keeps spill files, metrics, and differential
-//! tests stable across runs.
+//! every process, which keeps metrics and differential tests stable
+//! across runs.
 //!
 //! The crate deliberately mirrors the `rustc-hash` surface
 //! ([`FxHasher`], [`FxBuildHasher`], [`FxHashMap`], [`FxHashSet`]) so

@@ -11,14 +11,10 @@
 //!   (owner pops LIFO, thieves steal FIFO) plus a shared injector
 //!   queue, built on `std::thread` only.
 //! * [`deque`] — the work-stealing deque the pool is built from.
-//! * [`channel`] — a bounded MPMC channel; the emit→simulate link,
-//!   and the executor's source of backpressure.
-//! * [`spill`] — a spill-to-disk trace store in the `TSMT` binary
-//!   format, so collected traces larger than the analysis cap page out
-//!   of memory between the simulate and analyze stages.
 //! * [`metrics`] — per-stage wall-clock and queue-depth accounting.
-//! * [`pipeline`] — the reproduction DAG itself and its ordinal-keyed
-//!   deterministic reduction.
+//! * [`pipeline`] — the reproduction DAG itself (emit fused into each
+//!   simulate job, analyses fanned out over the capped traces) and its
+//!   slot-ordered deterministic reduction.
 //! * [`sync`] — the synchronization shim every other module goes
 //!   through: `std` delegation in normal builds, and (behind the
 //!   `schedcheck` feature) the cooperative scheduler that lets
@@ -28,30 +24,15 @@
 //! **bit-identical** to the serial runner for any worker count. See the
 //! [`pipeline`] module docs for the argument.
 
-pub mod channel;
 pub mod deque;
 pub mod metrics;
 pub mod pipeline;
 pub mod pool;
-pub mod spill;
 pub mod sync;
 
 pub use metrics::{RunMetrics, RunSummary, Stage};
-pub use pipeline::{run_all, run_workloads, AnalysisKind, Context, JobSpec, RuntimeConfig};
-pub use spill::{SharedTrace, TraceStore};
+pub use pipeline::{run_workloads, Context, RuntimeConfig};
 
 // The executor moves these across worker threads; keep the bounds
 // checked at compile time (see `tempstream_trace::assert_send_sync!`).
-tempstream_trace::assert_send_sync!(
-    JobSpec,
-    Context,
-    AnalysisKind,
-    RuntimeConfig,
-    RunMetrics,
-    RunSummary,
-    TraceStore,
-    SharedTrace<tempstream_trace::MissClass>,
-    SharedTrace<tempstream_trace::IntraChipClass>,
-    channel::Sender<Vec<tempstream_trace::MemoryAccess>>,
-    channel::Receiver<Vec<tempstream_trace::MemoryAccess>>,
-);
+tempstream_trace::assert_send_sync!(Context, RuntimeConfig, RunMetrics, RunSummary);

@@ -1,58 +1,50 @@
-//! The reproduction as a DAG of typed jobs on the work-stealing pool.
+//! The reproduction as a DAG of jobs on the work-stealing pool.
 //!
 //! Per workload × system context, the DAG is:
 //!
 //! ```text
-//! Emit(workload) ──bounded channel──▶ Simulate(context) ──▶ Analyze(Streams) ──▶ Analyze(Origins)
-//!                                            │                    │          └─▶ Analyze(Functions)
-//!                                            │                    └─(labels)
-//!                                            └──────────────────▶ Analyze(Strides)
+//! Simulate(context) ──▶ Analyze(Streams) ──▶ Analyze(Origins)
+//!        │                    │          └─▶ Analyze(Functions)
+//!        │                    └─(labels)
+//!        └──────────────────▶ Analyze(Strides)
 //! ```
 //!
-//! and a final ordinal-keyed **Reduce** merges every partial into
+//! and a final **Reduce** merges every partial into
 //! [`WorkloadResults`].
 //!
-//! By default the emit stage is **fused** into its simulate job — the
-//! same single-threaded collect the serial runner uses — because
-//! streaming ~10⁶ accesses through a channel costs one full copy of the
-//! stream plus a thread hand-off per batch, which on hosts with few
-//! cores (or exactly one) turns "parallelism" into a slowdown. The
-//! real concurrency win is *across* workloads and contexts, which the
-//! pool already exploits. Setting
-//! [`RuntimeConfig::pipelined_emit`] restores the streaming split: emit
-//! jobs then run on companion threads paired with their simulate
-//! consumer (never on pool workers — a blocked producer must not occupy
-//! a worker, which keeps any worker count ≥ 1 deadlock-free).
-//! Everything downstream is a pool job, spawned the moment its inputs
-//! exist.
+//! Each simulate job generates its workload's access stream itself —
+//! emit is fused into simulate, the same single-threaded collect the
+//! serial runner uses — so no access ever crosses a thread. The
+//! concurrency is *across* workloads and contexts, which the pool
+//! exploits. A simulate job truncates its trace to the experiment's
+//! `max_analysis_misses` and shares it, read-only behind an [`Arc`],
+//! with the analysis jobs it spawns; every downstream job is spawned
+//! the moment its inputs exist.
 //!
-//! **Determinism:** every job is a pure function from
-//! [`crate::spill::SharedTrace`] inputs produced by the deterministic
-//! emit/simulate stages of `tempstream_core::stages`, every partial is
-//! filed under its [`JobSpec`] ordinal key, and the reducer walks keys
-//! in ascending order — so the assembled results are bit-identical to
-//! the serial runner for any worker count and any scheduling order.
+//! **Determinism:** every job is a pure function of a trace produced
+//! by the deterministic collect stages of `tempstream_core::stages`.
+//! Each partial is written once into the slot of its (workload
+//! ordinal, [`Context`]) pair, and the reducer drains the slots in
+//! ascending ordinal and context order — so the assembled results are
+//! bit-identical to the serial runner for any worker count and any
+//! scheduling order.
 
-use crate::channel::{bounded, Sender};
 use crate::metrics::{RunMetrics, RunSummary, Stage};
 use crate::pool::{self, Worker};
-use crate::spill::{SharedTrace, TraceStore};
 use crate::sync::{thread, Arc, Mutex};
 use std::time::Instant;
-use tempstream_coherence::{MultiChipSim, SingleChipSim};
 use tempstream_core::experiment::{
     ExperimentConfig, IntraChipResults, OffChipResults, WorkloadResults,
 };
 use tempstream_core::report::{IntraClassBreakdown, MissClassBreakdown};
-use tempstream_core::stages::{self, EmitOutput, PhasedSink, StreamsPartial};
+use tempstream_core::stages::{self, StreamsPartial};
 use tempstream_core::streams::StreamLabel;
 use tempstream_trace::io::TraceClass;
-use tempstream_trace::sink::AccessSink;
-use tempstream_trace::{MemoryAccess, SymbolTable};
+use tempstream_trace::{MissTrace, SymbolTable};
 use tempstream_workloads::Workload;
 
 /// One of the three analysis contexts of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Context {
     /// Off-chip misses of the 16-node DSM.
     MultiChip,
@@ -72,77 +64,6 @@ impl Context {
     }
 }
 
-/// One of the four per-context analysis jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AnalysisKind {
-    /// SEQUITUR stream labeling and label-derived reports.
-    Streams,
-    /// Constant-stride run detection.
-    Strides,
-    /// Code-module attribution (Tables 3-5).
-    Origins,
-    /// Per-function attribution.
-    Functions,
-}
-
-/// A typed job of the reproduction DAG.
-///
-/// The derived `Ord` is the reduction order: partial results are filed
-/// under their spec and merged in ascending key order, which is what
-/// makes the reduction independent of scheduling order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum JobSpec {
-    /// Drive one workload's access stream into a bounded channel.
-    Emit {
-        /// Ordinal of the workload in the run's workload list.
-        workload: usize,
-        /// The consuming simulation context (`IntraChip` never appears:
-        /// the single-chip emit feeds both CMP contexts).
-        context: Context,
-    },
-    /// Consume an access stream into a memory-system simulator.
-    Simulate {
-        /// Ordinal of the workload in the run's workload list.
-        workload: usize,
-        /// The simulation context being produced.
-        context: Context,
-    },
-    /// Run one pure analysis over a collected trace.
-    Analyze {
-        /// Ordinal of the workload in the run's workload list.
-        workload: usize,
-        /// The trace context being analyzed.
-        context: Context,
-        /// Which analysis.
-        kind: AnalysisKind,
-    },
-    /// Merge one workload's partials into its final results.
-    Reduce {
-        /// Ordinal of the workload in the run's workload list.
-        workload: usize,
-    },
-}
-
-impl JobSpec {
-    /// The pipeline stage this job belongs to.
-    pub fn stage(self) -> Stage {
-        match self {
-            JobSpec::Emit { .. } => Stage::Emit,
-            JobSpec::Simulate { .. } => Stage::Simulate,
-            JobSpec::Analyze { .. } => Stage::Analyze,
-            JobSpec::Reduce { .. } => Stage::Reduce,
-        }
-    }
-}
-
-/// Target bytes of access stream per emit→simulate channel hand-off.
-///
-/// Each transfer pays one mutex acquisition and (on a sleeping
-/// consumer) one condvar wake; 256 KB per hand-off amortizes that to
-/// well under one lock operation per thousand accesses while staying
-/// comfortably inside L2 on the consumer side.
-const BATCH_TARGET_BYTES: usize = 256 * 1024;
-
 /// Executor parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
@@ -151,97 +72,19 @@ pub struct RuntimeConfig {
     /// oversubscription only costs context switches — so this is an
     /// upper bound, reported as-is in the run summary.
     pub workers: usize,
-    /// Run emit stages on companion threads streaming batches through a
-    /// bounded channel, instead of fusing emit into the simulate job
-    /// (the default). Fusion removes a full copy of the access stream
-    /// and the per-batch thread hand-off; the split only pays off when
-    /// idle cores outnumber the runnable simulate/analyze jobs.
-    pub pipelined_emit: bool,
-    /// Accesses per emit→simulate channel batch (pipelined mode only);
-    /// defaults to [`BATCH_TARGET_BYTES`] worth of accesses.
-    pub batch_size: usize,
-    /// Batches in flight per emit→simulate channel (the backpressure
-    /// bound).
-    pub channel_capacity: usize,
-    /// Record-count threshold above which collected traces spill to
-    /// disk; defaults to the experiment's `max_analysis_misses`.
-    pub spill_threshold: Option<usize>,
 }
 
 impl RuntimeConfig {
-    /// A configuration with `workers` threads and default streaming
-    /// parameters.
+    /// A configuration with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         RuntimeConfig {
             workers: workers.max(1),
-            pipelined_emit: false,
-            batch_size: (BATCH_TARGET_BYTES / std::mem::size_of::<MemoryAccess>()).max(1),
-            channel_capacity: 8,
-            spill_threshold: None,
         }
     }
 
     /// The host's available parallelism (the `--jobs` default).
     pub fn default_workers() -> usize {
         thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    }
-}
-
-/// What the emit stage streams to its simulate consumer.
-enum EmitMsg {
-    /// A batch of accesses (warmup or measured — the boundary is the
-    /// `BeginMeasurement` marker).
-    Batch(Vec<MemoryAccess>),
-    /// The warmup/measurement boundary.
-    BeginMeasurement,
-    /// End of stream: measured instruction count and the symbol table.
-    Done(Box<EmitOutput>),
-}
-
-/// An [`AccessSink`] that batches accesses into a bounded channel.
-struct ChannelSink {
-    tx: Sender<EmitMsg>,
-    buf: Vec<MemoryAccess>,
-    batch_size: usize,
-}
-
-impl ChannelSink {
-    fn new(tx: Sender<EmitMsg>, batch_size: usize) -> Self {
-        ChannelSink {
-            tx,
-            buf: Vec::with_capacity(batch_size),
-            batch_size: batch_size.max(1),
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_size));
-            // A dropped receiver means the simulate job died; emission
-            // continues into the void and the pool surfaces its panic.
-            let _ = self.tx.send(EmitMsg::Batch(batch));
-        }
-    }
-
-    fn finish(mut self, out: EmitOutput) {
-        self.flush();
-        let _ = self.tx.send(EmitMsg::Done(Box::new(out)));
-    }
-}
-
-impl AccessSink for ChannelSink {
-    fn access(&mut self, access: &MemoryAccess) {
-        self.buf.push(*access);
-        if self.buf.len() >= self.batch_size {
-            self.flush();
-        }
-    }
-}
-
-impl PhasedSink for ChannelSink {
-    fn begin_measurement(&mut self) {
-        self.flush();
-        let _ = self.tx.send(EmitMsg::BeginMeasurement);
     }
 }
 
@@ -279,7 +122,7 @@ struct CollectedPartial {
 }
 
 /// All partials for one (workload, context) pair, filled in by jobs and
-/// drained by the key-ordered reducer.
+/// drained by the reducer in ordinal and context order.
 struct ContextSlot {
     collected: Cell<CollectedPartial>,
     streams: Cell<StreamsPartial>,
@@ -325,48 +168,38 @@ impl WorkloadSlots {
 ///
 /// # Panics
 ///
-/// Panics if the spill directory cannot be created, or if a
-/// workload/simulator stage panics (the first panic is re-raised after
-/// the pool drains). Spill write or reload failures do not abort the
-/// run: writes fall back to keeping the trace in memory, and a spill
-/// file lost mid-run degrades that context to an empty trace with a
-/// warning on stderr.
+/// Panics if a workload/simulator stage panics (the first panic is
+/// re-raised after the pool drains).
 pub fn run_workloads(
     cfg: &ExperimentConfig,
     rt: RuntimeConfig,
     workloads: &[Workload],
 ) -> (Vec<WorkloadResults>, RunSummary) {
     let start = Instant::now();
-    let store = TraceStore::new(rt.spill_threshold.unwrap_or(cfg.max_analysis_misses))
-        .expect("failed to create spill directory");
     let metrics = RunMetrics::new();
     let slots: Vec<WorkloadSlots> = workloads.iter().map(|_| WorkloadSlots::new()).collect();
 
     // Oversubscribing the hardware only adds context-switch and
-    // cache-eviction cost: pipeline jobs are CPU-bound (spill I/O and
-    // pipelined emit run on their own OS threads), so a worker thread
-    // beyond the core count has nothing to overlap with. The pool gets
-    // at most one thread per available core, whatever was requested;
-    // results are bit-identical at any thread count either way.
+    // cache-eviction cost: pipeline jobs are CPU-bound, so a worker
+    // thread beyond the core count has nothing to overlap with. The
+    // pool gets at most one thread per available core, whatever was
+    // requested; results are bit-identical at any thread count either
+    // way.
     let threads = rt.workers.min(RuntimeConfig::default_workers());
     let (injector_depth, deque_depth) = pool::scope(threads, |p| {
         let cfg = *cfg;
-        let (slots, store, metrics) = (&slots, &store, &metrics);
+        let (slots, metrics) = (&slots, &metrics);
         for (ordinal, &workload) in workloads.iter().enumerate() {
-            p.spawn(move |w| {
-                simulate_multi_chip(w, &cfg, rt, workload, ordinal, slots, store, metrics);
-            });
-            p.spawn(move |w| {
-                simulate_single_chip(w, &cfg, rt, workload, ordinal, slots, store, metrics);
-            });
+            p.spawn(move |w| simulate_multi_chip(w, &cfg, workload, ordinal, slots, metrics));
+            p.spawn(move |w| simulate_single_chip(w, &cfg, workload, ordinal, slots, metrics));
         }
         p.join();
         (p.injector_max_depth(), p.worker_max_depth())
     });
 
-    // Ordinal-keyed reduction: walk JobSpec::Reduce keys in ascending
-    // order; every partial is taken from its slot, never from arrival
-    // order.
+    // Slot-keyed reduction: workloads in ordinal order, contexts in
+    // index order; every partial is taken from its slot, never from
+    // arrival order.
     let results = metrics.time(Stage::Reduce, || {
         workloads
             .iter()
@@ -375,103 +208,20 @@ pub fn run_workloads(
             .collect::<Vec<_>>()
     });
 
-    // Spill writes run on the store's background thread; wait for the
-    // queue to drain so the summary counters are exact.
-    store.flush();
-    let summary = metrics.summarize(
-        rt.workers,
-        start.elapsed(),
-        injector_depth,
-        deque_depth,
-        store.spilled_traces(),
-        store.spilled_bytes(),
-    );
+    let summary = metrics.summarize(rt.workers, start.elapsed(), injector_depth, deque_depth);
     (results, summary)
 }
 
-/// Convenience: the full paper workload list.
-pub fn run_all(cfg: &ExperimentConfig, rt: RuntimeConfig) -> (Vec<WorkloadResults>, RunSummary) {
-    run_workloads(cfg, rt, &Workload::ALL)
-}
-
-/// Runs the emit companion thread and drains its channel into `sim`
-/// (any [`PhasedSink`]), returning the emit output once the stream
-/// ends.
-fn pump_emit_into<S: PhasedSink>(
-    sim: &mut S,
-    rt: RuntimeConfig,
-    workload: Workload,
-    num_cpus: u32,
-    seed: u64,
-    scale: tempstream_workloads::Scale,
-    metrics: &RunMetrics,
-) -> EmitOutput {
-    let (tx, rx) = bounded::<EmitMsg>(rt.channel_capacity);
-    let emitter: thread::ScopedTask<'_> = Box::new(move || {
-        let t0 = Instant::now();
-        let mut sink = ChannelSink::new(tx, rt.batch_size);
-        let out = stages::emit_workload(workload, num_cpus, seed, scale, &mut sink);
-        sink.finish(out);
-        metrics.record(Stage::Emit, t0.elapsed());
-    });
-    thread::scope_with(vec![emitter], || {
-        let mut done = None;
-        // Drain every queued message per lock acquisition: with large
-        // batches the channel lock is already cold, but recv_many also
-        // frees all capacity slots at once so a blocked producer wakes
-        // exactly once per drain instead of once per message.
-        let mut pending = Vec::new();
-        while rx.recv_many(&mut pending).is_ok() {
-            for msg in pending.drain(..) {
-                match msg {
-                    EmitMsg::Batch(batch) => {
-                        for a in &batch {
-                            sim.access(a);
-                        }
-                    }
-                    EmitMsg::BeginMeasurement => sim.begin_measurement(),
-                    EmitMsg::Done(out) => done = Some(*out),
-                }
-            }
-        }
-        metrics.note_channel_depth(rx.max_depth());
-        done.expect("emit stream ended without a Done message")
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
 fn simulate_multi_chip<'env>(
     w: &Worker<'_, 'env>,
     cfg: &ExperimentConfig,
-    rt: RuntimeConfig,
     workload: Workload,
     ordinal: usize,
     slots: &'env [WorkloadSlots],
-    store: &'env TraceStore,
     metrics: &'env RunMetrics,
 ) {
     let t0 = Instant::now();
-    let (mut trace, symbols) = if rt.pipelined_emit {
-        let scale = stages::scale_for(cfg, workload);
-        let mut sim = MultiChipSim::new(cfg.multi_chip);
-        sim.set_recording(false);
-        let out = pump_emit_into(
-            &mut sim,
-            rt,
-            workload,
-            cfg.multi_chip.nodes,
-            cfg.seed,
-            scale,
-            metrics,
-        );
-        sim.export_obsv(
-            tempstream_obsv::global(),
-            &format!("sim/{}/multi_chip", workload.name()),
-        );
-        (sim.finish(out.instructions), out.symbols)
-    } else {
-        stages::collect_multi_chip(cfg, workload)
-    };
+    let (mut trace, symbols) = stages::collect_multi_chip(cfg, workload);
     let slot = slots[ordinal].context(Context::MultiChip);
     slot.collected.set(CollectedPartial {
         breakdown: BreakdownPartial::OffChip(MissClassBreakdown::of_trace(&trace)),
@@ -479,57 +229,31 @@ fn simulate_multi_chip<'env>(
     });
     // Everything downstream reads at most the analysis cap; dropping
     // the excess now (breakdown and total are already banked) shrinks
-    // both RSS and any spill write.
+    // RSS while the analyses run.
     trace.truncate(cfg.max_analysis_misses);
-    let shared = Arc::new(store.put(trace));
-    let symbols = Arc::new(symbols);
     metrics.record(Stage::Simulate, t0.elapsed());
     spawn_analyses(
         w,
         ordinal,
         Context::MultiChip,
         workload,
-        cfg.max_analysis_misses,
-        shared,
-        symbols,
+        Arc::new(trace),
+        Arc::new(symbols),
         slots,
         metrics,
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn simulate_single_chip<'env>(
     w: &Worker<'_, 'env>,
     cfg: &ExperimentConfig,
-    rt: RuntimeConfig,
     workload: Workload,
     ordinal: usize,
     slots: &'env [WorkloadSlots],
-    store: &'env TraceStore,
     metrics: &'env RunMetrics,
 ) {
     let t0 = Instant::now();
-    let (mut traces, symbols) = if rt.pipelined_emit {
-        let scale = stages::scale_for(cfg, workload);
-        let mut sim = SingleChipSim::new(cfg.single_chip);
-        sim.set_recording(false);
-        let out = pump_emit_into(
-            &mut sim,
-            rt,
-            workload,
-            cfg.single_chip.cores,
-            cfg.seed,
-            scale,
-            metrics,
-        );
-        sim.export_obsv(
-            tempstream_obsv::global(),
-            &format!("sim/{}/single_chip", workload.name()),
-        );
-        (sim.finish(out.instructions), out.symbols)
-    } else {
-        stages::collect_single_chip(cfg, workload)
-    };
+    let (mut traces, symbols) = stages::collect_single_chip(cfg, workload);
     let symbols = Arc::new(symbols);
 
     let off_slot = slots[ordinal].context(Context::SingleChip);
@@ -544,11 +268,9 @@ fn simulate_single_chip<'env>(
     });
 
     // See `simulate_multi_chip`: downstream jobs only read the capped
-    // prefix, so shed the excess before storing.
+    // prefix, so shed the excess before sharing.
     traces.off_chip.truncate(cfg.max_analysis_misses);
     traces.intra_chip.truncate(cfg.max_analysis_misses);
-    let off_shared = Arc::new(store.put(traces.off_chip));
-    let intra_shared = Arc::new(store.put(traces.intra_chip));
     metrics.record(Stage::Simulate, t0.elapsed());
 
     spawn_analyses(
@@ -556,8 +278,7 @@ fn simulate_single_chip<'env>(
         ordinal,
         Context::SingleChip,
         workload,
-        cfg.max_analysis_misses,
-        off_shared,
+        Arc::new(traces.off_chip),
         symbols.clone(),
         slots,
         metrics,
@@ -567,25 +288,23 @@ fn simulate_single_chip<'env>(
         ordinal,
         Context::IntraChip,
         workload,
-        cfg.max_analysis_misses,
-        intra_shared,
+        Arc::new(traces.intra_chip),
         symbols,
         slots,
         metrics,
     );
 }
 
-/// Spawns the four analysis jobs for one collected context. `Streams`
-/// spawns `Origins` and `Functions` the moment the labels exist;
-/// `Strides` is independent.
+/// Spawns the four analysis jobs for one collected (already capped)
+/// context. `Streams` spawns `Origins` and `Functions` the moment the
+/// labels exist; `Strides` is independent.
 #[allow(clippy::too_many_arguments)]
 fn spawn_analyses<'env, C>(
     w: &Worker<'_, 'env>,
     ordinal: usize,
     context: Context,
     workload: Workload,
-    max_analysis_misses: usize,
-    shared: Arc<SharedTrace<C>>,
+    trace: Arc<MissTrace<C>>,
     symbols: Arc<SymbolTable>,
     slots: &'env [WorkloadSlots],
     metrics: &'env RunMetrics,
@@ -595,34 +314,30 @@ fn spawn_analyses<'env, C>(
     let slot = slots[ordinal].context(context);
 
     {
-        let shared = shared.clone();
+        let trace = trace.clone();
         w.spawn(move |w2| {
             metrics.time(Stage::Analyze, || {
-                let trace = shared.trace_or_empty();
-                let records = stages::cap(trace.records(), max_analysis_misses);
-                let partial = stages::analyze_streams(records, trace.num_cpus());
+                let partial = stages::analyze_streams(trace.records(), trace.num_cpus());
                 // The partial shares its label vector behind an Arc, so
                 // handing labels to the origin/function jobs is a
                 // refcount bump, not a copy of ~10⁶ entries.
                 let labels: Arc<Vec<StreamLabel>> = partial.labels.clone();
                 slot.streams.set(partial);
 
-                let (sh, sy, lb) = (shared.clone(), symbols.clone(), labels.clone());
+                let (tr, sy, lb) = (trace.clone(), symbols.clone(), labels.clone());
                 w2.spawn(move |_| {
                     metrics.time(Stage::Analyze, || {
-                        let records =
-                            stages::cap(sh.trace_or_empty().records(), max_analysis_misses);
                         slot.origins
-                            .set(stages::analyze_origins(records, &lb, &sy, workload));
+                            .set(stages::analyze_origins(tr.records(), &lb, &sy, workload));
                     });
                 });
-                let (sh, sy) = (shared.clone(), symbols.clone());
                 w2.spawn(move |_| {
                     metrics.time(Stage::Analyze, || {
-                        let records =
-                            stages::cap(sh.trace_or_empty().records(), max_analysis_misses);
-                        slot.functions
-                            .set(stages::analyze_functions(records, &labels, &sy));
+                        slot.functions.set(stages::analyze_functions(
+                            trace.records(),
+                            &labels,
+                            &symbols,
+                        ));
                     });
                 });
             });
@@ -631,10 +346,8 @@ fn spawn_analyses<'env, C>(
 
     w.spawn(move |_| {
         metrics.time(Stage::Analyze, || {
-            let trace = shared.trace_or_empty();
-            let records = stages::cap(trace.records(), max_analysis_misses);
             slot.flags
-                .set(stages::analyze_strides(records, trace.num_cpus()));
+                .set(stages::analyze_strides(trace.records(), trace.num_cpus()));
         });
     });
 }
@@ -712,80 +425,41 @@ mod tests {
             .map(|&w| Experiment::new(cfg).run_workload(w))
             .collect();
         let expected = digest(&serial);
-        for pipelined in [false, true] {
-            for workers in [1, 2, 4] {
-                let mut rt = RuntimeConfig::with_workers(workers);
-                rt.pipelined_emit = pipelined;
-                let (got, summary) = run_workloads(&cfg, rt, &workloads);
-                assert_eq!(
-                    digest(&got),
-                    expected,
-                    "results diverged with {workers} workers (pipelined: {pipelined})"
-                );
-                assert_eq!(summary.workers, workers);
-                if pipelined {
-                    assert!(summary.stages[0].jobs > 0, "no emit jobs recorded");
-                }
-                assert!(summary.stages[2].jobs > 0, "no analyze jobs recorded");
-            }
+        for workers in [1, 2, 4] {
+            let (got, summary) =
+                run_workloads(&cfg, RuntimeConfig::with_workers(workers), &workloads);
+            assert_eq!(
+                digest(&got),
+                expected,
+                "results diverged with {workers} workers"
+            );
+            assert_eq!(summary.workers, workers);
+            assert!(summary.stages[1].jobs > 0, "no analyze jobs recorded");
         }
-    }
-
-    #[test]
-    fn forced_spill_is_transparent() {
-        let cfg = ExperimentConfig::quick();
-        let workloads = [Workload::Oltp];
-        let expected = digest(&[Experiment::new(cfg).run_workload(Workload::Oltp)]);
-        let mut rt = RuntimeConfig::with_workers(2);
-        rt.spill_threshold = Some(0); // every trace pages out
-        let (got, summary) = run_workloads(&cfg, rt, &workloads);
-        assert_eq!(digest(&got), expected, "spill round-trip changed results");
-        assert_eq!(summary.spilled_traces, 3, "all three contexts must spill");
-        assert!(summary.spilled_bytes > 0);
-    }
-
-    #[test]
-    fn job_spec_orders_by_ordinal_key() {
-        let a = JobSpec::Analyze {
-            workload: 0,
-            context: Context::MultiChip,
-            kind: AnalysisKind::Streams,
-        };
-        let b = JobSpec::Analyze {
-            workload: 0,
-            context: Context::SingleChip,
-            kind: AnalysisKind::Streams,
-        };
-        let c = JobSpec::Reduce { workload: 1 };
-        assert!(a < b && b < c);
-        assert_eq!(a.stage(), Stage::Analyze);
-        assert_eq!(c.stage(), Stage::Reduce);
     }
 
     #[test]
     fn summary_reports_pipeline_shape() {
         let cfg = ExperimentConfig::quick();
-        let mut rt = RuntimeConfig::with_workers(2);
-        rt.pipelined_emit = true;
-        let (_, summary) = run_workloads(&cfg, rt, &[Workload::Zeus]);
-        // 2 simulate jobs (mc + sc), 2 emit companions, 12 analyze jobs
-        // (3 contexts × 4 analyses), 1 reduce call.
-        assert_eq!(summary.stages[0].jobs, 2, "emit jobs");
-        assert_eq!(summary.stages[1].jobs, 2, "simulate jobs");
-        assert_eq!(summary.stages[2].jobs, 12, "analyze jobs");
-        assert_eq!(summary.stages[3].jobs, 1, "reduce batches");
+        let (_, summary) = run_workloads(&cfg, RuntimeConfig::with_workers(2), &[Workload::Zeus]);
+        // 2 simulate jobs (mc + sc), 12 analyze jobs (3 contexts × 4
+        // analyses), 1 reduce call.
+        assert_eq!(summary.stages[0].jobs, 2, "simulate jobs");
+        assert_eq!(summary.stages[1].jobs, 12, "analyze jobs");
+        assert_eq!(summary.stages[2].jobs, 1, "reduce batches");
         assert!(summary.wall.as_nanos() > 0);
     }
 
     #[test]
     fn fused_emit_records_no_emit_jobs() {
-        // The default mode fuses emit into simulate; the stage summary
-        // reflects the collapsed shape.
+        // Emit is fused into simulate: the summary carries no emit stage,
+        // and every trace is produced by one of the 2 simulate jobs.
         let cfg = ExperimentConfig::quick();
         let (_, summary) = run_workloads(&cfg, RuntimeConfig::with_workers(2), &[Workload::Zeus]);
-        assert_eq!(summary.stages[0].jobs, 0, "fused mode has no emit jobs");
-        assert_eq!(summary.stages[1].jobs, 2, "simulate jobs");
-        assert_eq!(summary.stages[2].jobs, 12, "analyze jobs");
-        assert_eq!(summary.stages[3].jobs, 1, "reduce batches");
+        let names: Vec<&str> = summary.stages.iter().map(|s| s.stage.name()).collect();
+        assert_eq!(names, ["simulate", "analyze", "reduce"], "no emit stage");
+        assert_eq!(summary.stages[0].jobs, 2, "simulate jobs");
+        assert_eq!(summary.stages[1].jobs, 12, "analyze jobs");
+        assert_eq!(summary.stages[2].jobs, 1, "reduce batches");
     }
 }

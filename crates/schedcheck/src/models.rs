@@ -4,18 +4,11 @@
 //! entirely on runtime primitives, with its correctness properties
 //! stated as assertions:
 //!
-//! * **channel** models — per-producer FIFO, no lost or duplicated
-//!   items, receivers drain everything queued after the last sender
-//!   drops, and blocked senders observe a closed receiver instead of
-//!   hanging;
 //! * **deque** models — no job is lost or duplicated across concurrent
 //!   owner pops and thief steals, owner order is LIFO, thief order is
 //!   FIFO;
 //! * **pool** models — every spawned job (including jobs spawned by
 //!   jobs) runs exactly once and the pool shuts down cleanly;
-//! * **spill** models — a trace is readable while its background write
-//!   is in flight (`Writing → OnDisk` never loses the data), and
-//!   `flush()` pins the spill counters;
 //! * **serve** models — the server's bounded [`ShardQueues`] (the
 //!   reader-side routing lanes): all-or-nothing admission of split
 //!   batches racing lane workers never half-admits a frame and never
@@ -30,88 +23,11 @@
 //! scheduler itself reports any execution where every live thread
 //! blocks.
 
-use tempstream_runtime::channel;
 use tempstream_runtime::deque::WorkDeque;
 use tempstream_runtime::pool;
-use tempstream_runtime::spill::TraceStore;
 use tempstream_runtime::sync::atomic::{AtomicUsize, Ordering};
 use tempstream_runtime::sync::{thread, Arc};
 use tempstream_serve::queue::{PushError, ReplyQueue, ShardQueues};
-use tempstream_trace::io::TraceClass;
-use tempstream_trace::miss::MissRecord;
-use tempstream_trace::{Block, CpuId, FunctionId, MissClass, MissTrace, ThreadId};
-
-/// A single producer streams three items through a capacity-1 channel
-/// and hangs up; the consumer must drain exactly `[0, 1, 2]` in order.
-pub fn channel_spsc_close() {
-    let (tx, rx) = channel::bounded::<u32>(1);
-    let producer = thread::spawn(move || {
-        for i in 0..3 {
-            tx.send(i).expect("receiver alive for the whole stream");
-        }
-    });
-    let mut got = Vec::new();
-    while let Ok(v) = rx.recv() {
-        got.push(v);
-    }
-    producer.join().expect("producer clean");
-    assert_eq!(got, [0, 1, 2], "items lost, duplicated, or reordered");
-}
-
-/// A sender blocked on a full channel must error out — not hang — once
-/// the only receiver drops.
-pub fn channel_receiver_drop() {
-    let (tx, rx) = channel::bounded::<u32>(1);
-    tx.send(0).expect("receiver alive");
-    let sender = thread::spawn(move || tx.send(1));
-    drop(rx);
-    let result = sender.join().expect("sender clean");
-    assert!(result.is_err(), "send must observe the closed receiver");
-}
-
-/// `recv_many` must hand back everything queued, in order, and then
-/// report disconnection once the producer hangs up.
-pub fn channel_recv_many_drains() {
-    let (tx, rx) = channel::bounded::<u32>(4);
-    let producer = thread::spawn(move || {
-        for i in 0..3 {
-            tx.send(i).expect("receiver alive");
-        }
-    });
-    let mut buf = Vec::new();
-    while rx.recv_many(&mut buf).is_ok() {}
-    producer.join().expect("producer clean");
-    assert_eq!(buf, [0, 1, 2], "drain lost, duplicated, or reordered items");
-}
-
-/// Two producers race two items each through a capacity-1 channel into
-/// one consumer: every item arrives exactly once and each producer's
-/// items stay in that producer's send order.
-pub fn channel_mpmc_2p1c() {
-    let (tx, rx) = channel::bounded::<(usize, u32)>(1);
-    let producers: Vec<_> = (0..2)
-        .map(|p| {
-            let tx = tx.clone();
-            thread::spawn(move || {
-                for i in 0..2 {
-                    tx.send((p, i)).expect("receiver alive");
-                }
-            })
-        })
-        .collect();
-    drop(tx);
-    let mut next = [0u32; 2];
-    let mut received = 0;
-    while let Ok((p, i)) = rx.recv() {
-        assert_eq!(i, next[p], "producer {p} items reordered");
-        next[p] += 1;
-        received += 1;
-    }
-    for h in producers {
-        h.join().expect("producer clean");
-    }
-    assert_eq!(received, 4, "items lost or duplicated");
-}
 
 /// An owner popping (LIFO) races a thief stealing (FIFO) over four
 /// queued jobs: the union is exactly the original set, the owner's
@@ -180,50 +96,6 @@ pub fn pool_single_worker() {
 /// worker-vs-worker wakeup races.
 pub fn pool_two_workers() {
     pool_model(2, 2);
-}
-
-fn tiny_trace(len: usize) -> MissTrace<MissClass> {
-    let mut t = MissTrace::new(2);
-    t.set_instructions(99);
-    for i in 0..len {
-        t.push(MissRecord {
-            block: Block::new(i as u64 * 7),
-            cpu: CpuId::new((i % 2) as u32),
-            thread: ThreadId::new(i as u32),
-            function: FunctionId::new(0),
-            class: MissClass::from_byte((i % 4) as u8).unwrap(),
-        });
-    }
-    t
-}
-
-/// A spilling `put` races `flush` and the drop-join of the writer
-/// thread: the trace stays readable while the write is in flight
-/// (`Writing → OnDisk` is never a window of unreadability) and after
-/// `flush` the spill counter is pinned at exactly one.
-pub fn spill_flush_pins_counters() {
-    let store = TraceStore::new(0).expect("spill dir");
-    let shared = store.put(tiny_trace(6));
-    // Readable at every point of the write's lifetime.
-    assert_eq!(shared.trace_or_empty().len(), 6, "in-flight trace lost");
-    store.flush();
-    assert_eq!(store.spilled_traces(), 1, "flush must pin the counter");
-    assert_eq!(store.spill_fallbacks(), 0);
-    drop(store);
-}
-
-/// A reader thread races the background spill write and `flush`: in
-/// every interleaving it sees the full trace, whether it claims the
-/// resident copy or reloads the landed file.
-pub fn spill_concurrent_reader() {
-    let store = TraceStore::new(0).expect("spill dir");
-    let shared = Arc::new(store.put(tiny_trace(5)));
-    let reader_view = Arc::clone(&shared);
-    let reader = thread::spawn(move || reader_view.trace_or_empty().len());
-    store.flush();
-    assert_eq!(reader.join().expect("reader clean"), 5, "reader lost data");
-    assert_eq!(shared.trace_or_empty().len(), 5);
-    assert_eq!(store.spilled_traces(), 1);
 }
 
 // --- serve routing-lane models --------------------------------------------

@@ -276,12 +276,12 @@ pub fn read_trace<C: TraceClass, R: Read>(mut reader: R) -> Result<MissTrace<C>,
     let mut trace = MissTrace::new(num_cpus);
     trace.set_instructions(instructions);
     // Records decode from bulk chunks rather than five tiny reads per
-    // record — on a spill-file reload that's one `read` per ~688 KB
-    // instead of five per 21-byte record. Within the record region,
-    // premature EOF means the header's count and the payload disagree —
-    // reported as `TruncatedRecords` (with `read` = whole records
-    // present) rather than a bare I/O error so callers can distinguish
-    // corruption from a broken pipe elsewhere.
+    // record — one `read` per ~688 KB instead of five per 21-byte
+    // record. Within the record region, premature EOF means the
+    // header's count and the payload disagree — reported as
+    // `TruncatedRecords` (with `read` = whole records present) rather
+    // than a bare I/O error so callers can distinguish corruption from
+    // a broken pipe elsewhere.
     let mut chunk = vec![0u8; count.min(CHUNK_RECORDS) as usize * RECORD_BYTES];
     let mut read_done: u64 = 0;
     while read_done < count {
