@@ -10,10 +10,13 @@
 #      (the checker must still CATCH an injected lost notify_one)
 #   6. tier-1 build + test suite
 #   7. determinism gate: the parallel pipeline must be byte-identical
-#      to the serial runner
+#      to the serial runner, and the serial stdout byte-identical to the
+#      committed golden file (tests/golden/reproduce_all_quick.out)
 #   8. engine differential gate: the unified AnalysisEngine fed
 #      incrementally in interleaved chunks (with snapshots between
-#      chunks) must digest byte-identically to one batch feed
+#      chunks) must digest byte-identically to one batch feed, and the
+#      batch digest to the committed golden file
+#      (tests/golden/engine_diff.out)
 #   9. metrics gate: --metrics-json emits valid JSON with the expected
 #      top-level keys and leaves stdout untouched
 #  10. serve soak gates: a live server on loopback, driven by the
@@ -82,6 +85,11 @@ trap 'rm -rf "$det_dir"' EXIT
 TMPDIR=/dev/null ./target/release/reproduce all --quick --jobs 4 >"$det_dir/jobs4.out" 2>/dev/null
 diff "$det_dir/jobs1.out" "$det_dir/jobs4.out" \
   || { echo "determinism gate FAILED: --jobs 4 output differs from --jobs 1"; exit 1; }
+# The comparison above is within one binary; the golden file pins the
+# output across commits. A change that means to alter results
+# regenerates the file with the command above and says why.
+diff tests/golden/reproduce_all_quick.out "$det_dir/jobs1.out" \
+  || { echo "golden gate FAILED: reproduce all --quick stdout differs from tests/golden/reproduce_all_quick.out"; exit 1; }
 
 echo "== engine differential gate: incremental vs batch =="
 # The unified AnalysisEngine (core::engine) fed in K interleaved chunks
@@ -91,6 +99,8 @@ echo "== engine differential gate: incremental vs batch =="
 # same engine: incremental-vs-batch identity is pinned here, transport
 # correctness there.
 ./target/release/engine_diff --chunks 1 >"$det_dir/engine_batch.out"
+diff tests/golden/engine_diff.out "$det_dir/engine_batch.out" \
+  || { echo "golden gate FAILED: engine_diff --chunks 1 digest differs from tests/golden/engine_diff.out"; exit 1; }
 for k in 2 7; do
   ./target/release/engine_diff --chunks "$k" >"$det_dir/engine_k$k.out"
   diff "$det_dir/engine_batch.out" "$det_dir/engine_k$k.out" \

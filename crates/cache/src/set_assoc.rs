@@ -7,14 +7,20 @@ use tempstream_trace::Block;
 /// A set-associative cache with true-LRU replacement, generic over a
 /// per-line payload `T` (typically a coherence state).
 ///
-/// Each set is a small vector ordered most-recently-used first; with the
-/// paper's associativities (2 and 16) move-to-front is both exact LRU and
-/// fast.
+/// All sets live in one contiguous `num_sets × ways` line array; set `i`
+/// owns slots `i * ways ..` of which the first `lens[i]` are resident,
+/// ordered most-recently-used first. With the paper's associativities
+/// (2 and 16) move-to-front within the set's slots is both exact LRU and
+/// fast, and a lookup touches one or two host cache lines. The slots past
+/// a set's length hold `T::default()` fillers.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
     config: CacheConfig,
     set_mask: u64,
-    sets: Vec<Vec<Line<T>>>,
+    ways: usize,
+    lines: Vec<Line<T>>,
+    lens: Vec<u32>,
+    len: usize,
     stats: CacheStats,
 }
 
@@ -24,16 +30,23 @@ struct Line<T> {
     payload: T,
 }
 
-impl<T> SetAssocCache<T> {
+impl<T: Default> SetAssocCache<T> {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        let ways = config.associativity as usize;
         SetAssocCache {
             config,
             set_mask: num_sets - 1,
-            sets: (0..num_sets)
-                .map(|_| Vec::with_capacity(config.associativity as usize))
+            ways,
+            lines: (0..num_sets as usize * ways)
+                .map(|_| Line {
+                    block: Block::new(0),
+                    payload: T::default(),
+                })
                 .collect(),
+            lens: vec![0; num_sets as usize],
+            len: 0,
             stats: CacheStats::default(),
         }
     }
@@ -52,38 +65,44 @@ impl<T> SetAssocCache<T> {
         (block.raw() & self.set_mask) as usize
     }
 
+    /// The first slot of `set` and its number of resident lines.
+    fn span(&self, set: usize) -> (usize, usize) {
+        (set * self.ways, self.lens[set] as usize)
+    }
+
+    /// The set of `block` and the slot within it holding `block`, if any.
+    fn find(&self, block: Block) -> (usize, Option<usize>) {
+        let set = self.set_index(block);
+        let (base, len) = self.span(set);
+        let pos = self.lines[base..base + len]
+            .iter()
+            .position(|l| l.block == block);
+        (set, pos.map(|p| base + p))
+    }
+
     /// Looks up `block` without updating LRU order or statistics.
     pub fn probe(&self, block: Block) -> Option<&T> {
-        self.sets[self.set_index(block)]
-            .iter()
-            .find(|l| l.block == block)
-            .map(|l| &l.payload)
+        self.find(block).1.map(|i| &self.lines[i].payload)
     }
 
     /// Looks up `block`, and on a hit moves it to MRU and returns a mutable
     /// reference to its payload. Records a hit or miss in the statistics.
     pub fn touch(&mut self, block: Block) -> Option<&mut T> {
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|l| l.block == block) {
-            self.stats.hits += 1;
-            let line = set.remove(pos);
-            set.insert(0, line);
-            Some(&mut set[0].payload)
-        } else {
+        let (set, slot) = self.find(block);
+        let Some(slot) = slot else {
             self.stats.misses += 1;
-            None
-        }
+            return None;
+        };
+        self.stats.hits += 1;
+        let base = set * self.ways;
+        self.lines[base..=slot].rotate_right(1);
+        Some(&mut self.lines[base].payload)
     }
 
     /// Returns a mutable reference to the payload of `block` without
     /// changing LRU order or statistics.
     pub fn peek_mut(&mut self, block: Block) -> Option<&mut T> {
-        let set_idx = self.set_index(block);
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.block == block)
-            .map(|l| &mut l.payload)
+        self.find(block).1.map(|i| &mut self.lines[i].payload)
     }
 
     /// Inserts `block` at MRU, returning the evicted `(block, payload)` if
@@ -94,53 +113,58 @@ impl<T> SetAssocCache<T> {
     /// Panics in debug builds if `block` is already present (callers must
     /// `touch`/`peek_mut` existing lines instead).
     pub fn insert(&mut self, block: Block, payload: T) -> Option<(Block, T)> {
-        let assoc = self.config.associativity as usize;
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        debug_assert!(
-            set.iter().all(|l| l.block != block),
-            "insert of already-present block {block}"
-        );
-        let victim = if set.len() == assoc {
-            let lru = set.pop().expect("non-empty full set");
+        let (set, slot) = self.find(block);
+        debug_assert!(slot.is_none(), "insert of already-present block {block}");
+        let (base, len) = self.span(set);
+        let line = Line { block, payload };
+        let victim = if len == self.ways {
             self.stats.evictions += 1;
+            let lru = std::mem::replace(&mut self.lines[base + len - 1], line);
             Some((lru.block, lru.payload))
         } else {
+            self.lines[base + len] = line;
+            self.lens[set] += 1;
+            self.len += 1;
             None
         };
-        set.insert(0, Line { block, payload });
+        let end = base + self.lens[set] as usize;
+        self.lines[base..end].rotate_right(1);
         victim
     }
 
     /// Removes `block`, returning its payload if it was present.
     pub fn invalidate(&mut self, block: Block) -> Option<T> {
-        let set_idx = self.set_index(block);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|l| l.block == block)?;
+        let (set, slot) = self.find(block);
+        let slot = slot?;
         self.stats.invalidations += 1;
-        Some(set.remove(pos).payload)
+        let (base, len) = self.span(set);
+        self.lines[slot..base + len].rotate_left(1);
+        self.lens[set] -= 1;
+        self.len -= 1;
+        Some(std::mem::take(&mut self.lines[base + len - 1].payload))
     }
 
     /// Returns `true` if `block` is cached.
     pub fn contains(&self, block: Block) -> bool {
-        self.probe(block).is_some()
+        self.find(block).1.is_some()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// Returns `true` if no lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.len == 0
     }
 
     /// Iterates over resident `(block, payload)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Block, &T)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|l| (l.block, &l.payload)))
+        self.lines
+            .chunks_exact(self.ways)
+            .zip(&self.lens)
+            .flat_map(|(set, &len)| set[..len as usize].iter().map(|l| (l.block, &l.payload)))
     }
 }
 

@@ -36,8 +36,8 @@ pub use events::CoherenceEvents;
 pub use history::HistoryTracker;
 pub use multi_chip::{MultiChipConfig, MultiChipSim};
 pub use protocol::{
-    Action, ApplyOutcome, Event, MosiState, MsiState, ProtocolEngine, ProtocolSpec, ProtocolState,
-    Transition, MOSI, MSI,
+    Action, AgentSet, ApplyOutcome, Event, MosiState, MsiState, ProtocolEngine, ProtocolSpec,
+    ProtocolState, Transition, MOSI, MSI,
 };
 pub use single_chip::{SingleChipConfig, SingleChipSim};
 

@@ -281,9 +281,9 @@ impl MultiChipSim {
         // Table step: writer -> M; every valid remote copy is invalidated.
         let out = self.engine.apply(node_id, block, Event::LocalWrite);
         self.events.invalidations += out.invalidated.len() as u64;
-        for r in &out.invalidated {
-            self.nodes[*r as usize].l1.invalidate(block);
-            self.nodes[*r as usize].l2.invalidate(block);
+        for r in out.invalidated.iter() {
+            self.nodes[r as usize].l1.invalidate(block);
+            self.nodes[r as usize].l2.invalidate(block);
         }
         // Write-allocate in the writer's hierarchy.
         let n = node_id as usize;
@@ -312,7 +312,7 @@ impl MultiChipSim {
         // hold the block.
         debug_assert!((0..self.config.nodes).all(|r| {
             r == node_id
-                || out.invalidated.contains(&r)
+                || out.invalidated.contains(r)
                 || !self.nodes[r as usize].l2.contains(block)
         }));
         self.history.record_write(node_id, block);
@@ -320,7 +320,7 @@ impl MultiChipSim {
 
     fn invalidate_all(&mut self, block: Block) {
         self.events.io_invalidates += 1;
-        for r in self.engine.apply_io_invalidate(block) {
+        for r in self.engine.apply_io_invalidate(block).iter() {
             self.nodes[r as usize].l1.invalidate(block);
             self.nodes[r as usize].l2.invalidate(block);
         }

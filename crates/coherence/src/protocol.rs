@@ -307,6 +307,50 @@ pub static MOSI: ProtocolSpec<MosiState> = {
     }
 };
 
+/// A set of agents (caches), at most 32, as a bitmask.
+///
+/// [`ProtocolEngine`] reports invalidated agents with it, so a protocol
+/// step never allocates. Iteration yields agents in ascending order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AgentSet(u32);
+
+impl AgentSet {
+    /// The empty set.
+    pub const EMPTY: AgentSet = AgentSet(0);
+
+    fn insert(&mut self, agent: u32) {
+        self.0 |= 1 << agent;
+    }
+
+    /// Whether `agent` is in the set.
+    pub fn contains(self, agent: u32) -> bool {
+        agent < 32 && self.0 & (1 << agent) != 0
+    }
+
+    /// Number of agents in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The agents, in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = u32> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let agent = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(agent)
+        })
+    }
+}
+
 /// Result of applying a local event: the local transition taken plus the
 /// peers whose copies the event invalidated.
 #[derive(Debug)]
@@ -315,24 +359,40 @@ pub struct ApplyOutcome<S: 'static> {
     pub local: &'static Transition<S>,
     /// Peers that went from valid to invalid (the simulator must drop
     /// their cached lines).
-    pub invalidated: Vec<u32>,
+    pub invalidated: AgentSet,
     /// The peer that supplied the data, if any (it held M or O).
     pub supplier: Option<u32>,
+}
+
+/// Most agents one engine tracks; a block's states live inline in an
+/// array of this length.
+const MAX_AGENTS: usize = 32;
+
+/// Position of `(state, event)` in an engine's dense table.
+fn row<S: ProtocolState>(state: S, event: Event) -> usize {
+    state.index() * Event::ALL.len() + event as usize
 }
 
 /// Table-driven tracker of one protocol's per-block, per-cache states.
 ///
 /// The engine is the *only* component that advances coherence state in
 /// the simulators; every step is a table lookup, so the imperative
-/// simulators cannot diverge from the checked tables.
+/// simulators cannot diverge from the checked tables. The lookup table
+/// is dense, indexed by `(state, event)`, and derived once in
+/// [`new`](Self::new) from [`ProtocolSpec::transition`]; the checker
+/// keeps reading the spec itself.
 #[derive(Debug)]
 pub struct ProtocolEngine<S: ProtocolState> {
     spec: &'static ProtocolSpec<S>,
     agents: u32,
-    /// Per-block agent states; absent entry = all agents in `initial`.
-    /// Entries whose agents are all invalid are dropped to keep the map
-    /// bounded by live sharing, not footprint.
-    states: FxHashMap<Block, Vec<S>>,
+    /// The transition of each `(state, event)` at [`row`]; `None` on
+    /// the spec's impossible pairs.
+    table: Box<[Option<&'static Transition<S>>]>,
+    /// Per-block agent states, inline (only the first `agents` entries
+    /// are used); absent entry = all agents in `initial`. Entries whose
+    /// agents are all invalid are dropped to keep the map bounded by
+    /// live sharing, not footprint.
+    states: FxHashMap<Block, [S; MAX_AGENTS]>,
 }
 
 impl<S: ProtocolState> ProtocolEngine<S> {
@@ -340,12 +400,23 @@ impl<S: ProtocolState> ProtocolEngine<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `agents` is zero or greater than 32.
+    /// Panics if `agents` is zero or greater than 32, or if the spec is
+    /// malformed: a table hole, or `states` not listed in
+    /// [`ProtocolState::index`] order.
     pub fn new(spec: &'static ProtocolSpec<S>, agents: u32) -> Self {
-        assert!((1..=32).contains(&agents), "agent count must be in 1..=32");
+        assert!(
+            (1..=MAX_AGENTS as u32).contains(&agents),
+            "agent count must be in 1..=32"
+        );
+        let mut table = Vec::with_capacity(spec.states.len() * Event::ALL.len());
+        for (i, &state) in spec.states.iter().enumerate() {
+            assert_eq!(state.index(), i, "{}: states out of index order", spec.name);
+            table.extend(Event::ALL.iter().map(|&e| spec.transition(state, e)));
+        }
         ProtocolEngine {
             spec,
             agents,
+            table: table.into_boxed_slice(),
             states: FxHashMap::default(),
         }
     }
@@ -366,13 +437,17 @@ impl<S: ProtocolState> ProtocolEngine<S> {
     /// The agent owning the block (M or O state), if any.
     pub fn owner(&self, block: Block) -> Option<u32> {
         let v = self.states.get(&block)?;
-        v.iter().position(|s| s.is_owner()).map(|i| i as u32)
+        v[..self.agents as usize]
+            .iter()
+            .position(|s| s.is_owner())
+            .map(|i| i as u32)
     }
 
     /// Whether any agent other than `agent` holds a valid copy.
     pub fn other_valid(&self, agent: u32, block: Block) -> bool {
         self.states.get(&block).is_some_and(|v| {
-            v.iter()
+            v[..self.agents as usize]
+                .iter()
                 .enumerate()
                 .any(|(i, s)| i as u32 != agent && s.is_valid())
         })
@@ -401,43 +476,41 @@ impl<S: ProtocolState> ProtocolEngine<S> {
                 panic!("remote events are induced, not applied directly")
             }
         };
-        let agents = self.agents as usize;
+        let table = &self.table;
         let v = self
             .states
             .entry(block)
-            .or_insert_with(|| vec![self.spec.initial; agents]);
-        let local = self
-            .spec
-            .transition(v[agent as usize], event)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{}: ({:?}, {event:?}) at agent {agent} is declared impossible",
-                    self.spec.name, v[agent as usize]
-                )
-            });
+            .or_insert([self.spec.initial; MAX_AGENTS]);
+        let v = &mut v[..self.agents as usize];
+        let local = table[row(v[agent as usize], event)].unwrap_or_else(|| {
+            panic!(
+                "{}: ({:?}, {event:?}) at agent {agent} is declared impossible",
+                self.spec.name, v[agent as usize]
+            )
+        });
         v[agent as usize] = local.to;
-        let mut invalidated = Vec::new();
+        let mut invalidated = AgentSet::EMPTY;
         let mut supplier = None;
-        if let Some(remote) = remote {
-            for (i, s) in v.iter_mut().enumerate() {
-                if i as u32 == agent {
-                    continue;
-                }
-                let t = self
-                    .spec
-                    .transition(*s, remote)
-                    .expect("remote events must be total over all states");
+        let mut any_valid = local.to.is_valid();
+        for (i, s) in v.iter_mut().enumerate() {
+            if i as u32 == agent {
+                continue;
+            }
+            if let Some(remote) = remote {
+                let t =
+                    table[row(*s, remote)].expect("remote events must be total over all states");
                 if t.action == Action::SupplyToPeer {
                     debug_assert!(supplier.is_none(), "two suppliers for one block");
                     supplier = Some(i as u32);
                 }
                 if s.is_valid() && !t.to.is_valid() {
-                    invalidated.push(i as u32);
+                    invalidated.insert(i as u32);
                 }
                 *s = t.to;
             }
+            any_valid |= s.is_valid();
         }
-        if v.iter().all(|s| !s.is_valid()) {
+        if !any_valid {
             self.states.remove(&block);
         }
         ApplyOutcome {
@@ -449,22 +522,22 @@ impl<S: ProtocolState> ProtocolEngine<S> {
 
     /// Applies an [`Event::IoInvalidate`] to every agent, returning the
     /// agents that held valid copies.
-    pub fn apply_io_invalidate(&mut self, block: Block) -> Vec<u32> {
+    pub fn apply_io_invalidate(&mut self, block: Block) -> AgentSet {
+        let mut dropped = AgentSet::EMPTY;
         let Some(v) = self.states.get_mut(&block) else {
-            return Vec::new();
+            return dropped;
         };
-        let mut dropped = Vec::new();
-        for (i, s) in v.iter_mut().enumerate() {
-            let t = self
-                .spec
-                .transition(*s, Event::IoInvalidate)
+        let mut any_valid = false;
+        for (i, s) in v[..self.agents as usize].iter_mut().enumerate() {
+            let t = self.table[row(*s, Event::IoInvalidate)]
                 .expect("IoInvalidate must be total over all states");
             if s.is_valid() && !t.to.is_valid() {
-                dropped.push(i as u32);
+                dropped.insert(i as u32);
             }
             *s = t.to;
+            any_valid |= s.is_valid();
         }
-        if v.iter().all(|s| !s.is_valid()) {
+        if !any_valid {
             self.states.remove(&block);
         }
         dropped
@@ -499,12 +572,55 @@ mod tests {
     }
 
     #[test]
+    fn dense_table_equals_spec() {
+        fn check<S: ProtocolState>(spec: &'static ProtocolSpec<S>) {
+            let engine = ProtocolEngine::new(spec, 2);
+            for &s in spec.states {
+                for e in Event::ALL {
+                    let dense = engine.table[row(s, e)];
+                    let row = spec.transition(s, e);
+                    assert!(
+                        dense
+                            .zip(row)
+                            .map_or(dense.is_none() && row.is_none(), |(d, r)| {
+                                std::ptr::eq(d, r)
+                            }),
+                        "{} ({s:?}, {e:?}): dense {dense:?} != spec {row:?}",
+                        spec.name
+                    );
+                    assert_eq!(
+                        dense.is_none(),
+                        spec.impossible.contains(&(s, e)),
+                        "{} ({s:?}, {e:?}) impossibility",
+                        spec.name
+                    );
+                }
+            }
+        }
+        check(&MSI);
+        check(&MOSI);
+    }
+
+    #[test]
+    fn agent_set_iterates_in_order() {
+        let mut set = AgentSet::EMPTY;
+        assert!(set.is_empty());
+        for a in [31, 0, 5] {
+            set.insert(a);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 5, 31]);
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(31) && set.contains(0) && !set.contains(1));
+        assert!(!set.contains(32));
+    }
+
+    #[test]
     fn msi_write_invalidates_sharers() {
         let mut e = ProtocolEngine::new(&MSI, 4);
         e.apply(0, B, Event::LocalRead);
         e.apply(1, B, Event::LocalRead);
         let out = e.apply(2, B, Event::LocalWrite);
-        assert_eq!(out.invalidated, vec![0, 1]);
+        assert_eq!(out.invalidated.iter().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(e.state(2, B), MsiState::M);
         assert_eq!(e.owner(B), Some(2));
     }
@@ -538,7 +654,7 @@ mod tests {
         assert_eq!(e.live_blocks(), 1);
         e.apply(0, B, Event::Evict);
         assert_eq!(e.live_blocks(), 0, "all-invalid block must be dropped");
-        assert_eq!(e.apply_io_invalidate(B), Vec::<u32>::new());
+        assert!(e.apply_io_invalidate(B).is_empty());
     }
 
     #[test]
@@ -546,7 +662,10 @@ mod tests {
         let mut e = ProtocolEngine::new(&MSI, 3);
         e.apply(0, B, Event::LocalRead);
         e.apply(1, B, Event::LocalRead);
-        assert_eq!(e.apply_io_invalidate(B), vec![0, 1]);
+        assert_eq!(
+            e.apply_io_invalidate(B).iter().collect::<Vec<_>>(),
+            vec![0, 1]
+        );
         assert_eq!(e.live_blocks(), 0);
     }
 

@@ -374,8 +374,8 @@ impl SingleChipSim {
         // Table step: writer -> M; every valid peer copy is invalidated.
         let out = self.engine.apply(core, block, Event::LocalWrite);
         self.events.invalidations += out.invalidated.len() as u64;
-        for c in &out.invalidated {
-            self.l1s[*c as usize].invalidate(block);
+        for c in out.invalidated.iter() {
+            self.l1s[c as usize].invalidate(block);
         }
         match out.local.action {
             Action::InvalidateSharers => {
@@ -396,7 +396,7 @@ impl SingleChipSim {
         // Differential hook: peers the table did not invalidate must not
         // hold the block.
         debug_assert!((0..self.config.cores).all(|c| {
-            c == core || out.invalidated.contains(&c) || !self.l1s[c as usize].contains(block)
+            c == core || out.invalidated.contains(c) || !self.l1s[c as usize].contains(block)
         }));
         self.chip_history.record_write(0, block);
         self.core_history.record_write(core, block);
@@ -404,7 +404,7 @@ impl SingleChipSim {
 
     fn invalidate_chip(&mut self, block: Block) {
         self.events.io_invalidates += 1;
-        for c in self.engine.apply_io_invalidate(block) {
+        for c in self.engine.apply_io_invalidate(block).iter() {
             self.l1s[c as usize].invalidate(block);
         }
         self.l2.invalidate(block);

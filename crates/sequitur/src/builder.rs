@@ -6,14 +6,23 @@
 //! fix-ups for runs of identical symbols ("triples") in `join`.
 
 use crate::grammar::{Grammar, GrammarSymbol, RuleId};
-use std::collections::HashMap;
 use std::hash::BuildHasher;
 use tempstream_fxhash::{FxBuildHasher, FxHashMap};
 
 type NodeId = u32;
-const NIL: NodeId = u32::MAX;
+/// Width of a node id inside a link word; the bits above it carry flags.
+const ID_BITS: u32 = 30;
+const ID_MASK: u32 = (1 << ID_BITS) - 1;
+/// The null link: the all-ones id. No node is ever allocated this id.
+const NIL: NodeId = ID_MASK;
+/// Payload kinds, stored in the top two bits of a node's `prev` word.
+const TERMINAL: u32 = 0;
+const NON_TERMINAL: u32 = 1;
+const GUARD: u32 = 2;
+/// The freed flag, stored in the top bit of a node's `next` word.
+const FREED: u32 = 1 << 31;
 
-/// The payload of a symbol node.
+/// The payload of a symbol node, decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Payload {
     /// A terminal input symbol.
@@ -27,12 +36,276 @@ enum Payload {
 /// A digram hash key: the payloads of two adjacent non-guard symbols.
 type DigramKey = (Payload, Payload);
 
-#[derive(Debug, Clone)]
+/// A symbol node, packed into 16 bytes: two 30-bit links whose spare
+/// bits hold the payload kind (`prev`) and the freed flag (`next`), and
+/// the payload value (the terminal, or the rule id).
+#[derive(Debug, Clone, Copy)]
 struct Node {
-    prev: NodeId,
-    next: NodeId,
-    payload: Payload,
-    alive: bool,
+    prev: u32,
+    next: u32,
+    value: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn new(payload: Payload) -> Node {
+        let (kind, value) = match payload {
+            Payload::Terminal(t) => (TERMINAL, t),
+            Payload::NonTerminal(r) => (NON_TERMINAL, u64::from(r)),
+            Payload::Guard(r) => (GUARD, u64::from(r)),
+        };
+        Node {
+            prev: kind << ID_BITS | NIL,
+            next: NIL,
+            value,
+        }
+    }
+
+    fn prev(&self) -> NodeId {
+        self.prev & ID_MASK
+    }
+
+    fn next(&self) -> NodeId {
+        self.next & ID_MASK
+    }
+
+    fn set_prev(&mut self, id: NodeId) {
+        self.prev = self.prev & !ID_MASK | id;
+    }
+
+    fn set_next(&mut self, id: NodeId) {
+        self.next = self.next & !ID_MASK | id;
+    }
+
+    fn kind(&self) -> u32 {
+        self.prev >> ID_BITS
+    }
+
+    fn is_guard(&self) -> bool {
+        self.kind() == GUARD
+    }
+
+    fn alive(&self) -> bool {
+        self.next & FREED == 0
+    }
+
+    fn payload(&self) -> Payload {
+        match self.kind() {
+            TERMINAL => Payload::Terminal(self.value),
+            NON_TERMINAL => Payload::NonTerminal(self.value as u32),
+            _ => Payload::Guard(self.value as u32),
+        }
+    }
+
+    /// Whether both nodes hold the same payload.
+    fn same_symbol(&self, other: &Node) -> bool {
+        self.kind() == other.kind() && self.value == other.value
+    }
+}
+
+/// The id of a node appended to an arena of `len` nodes.
+///
+/// # Panics
+///
+/// Panics with "node arena overflow" once the id would reach [`NIL`],
+/// i.e. past 2^30 − 1 nodes.
+fn node_id(len: usize) -> NodeId {
+    match u32::try_from(len) {
+        Ok(id) if id < NIL => id,
+        _ => panic!("node arena overflow: {len} nodes"),
+    }
+}
+
+/// The digram key starting at `first`, or `None` if either symbol is a
+/// guard.
+fn digram_key(nodes: &[Node], first: NodeId) -> Option<DigramKey> {
+    let n = &nodes[first as usize];
+    debug_assert!(n.alive(), "access to freed node {first}");
+    if n.is_guard() {
+        return None;
+    }
+    let second = &nodes[n.next() as usize];
+    debug_assert!(second.alive(), "access to freed node {}", n.next());
+    if second.is_guard() {
+        return None;
+    }
+    Some((n.payload(), second.payload()))
+}
+
+/// One slot of the digram index: the top 32 bits of the key's hash and
+/// the node the digram starts at (`NIL` = empty slot).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    node: NodeId,
+}
+
+const EMPTY: Slot = Slot { tag: 0, node: NIL };
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+
+/// The digram index: an open-addressing, linear-probing table of 8-byte
+/// [`Slot`]s that stores no keys. A slot's key is re-derived from the
+/// node arena ([`digram_key`] of its node) when a probe meets a matching
+/// tag.
+///
+/// That is sound only under this invariant: **at every index operation,
+/// each indexed node's live digram equals the key it was inserted
+/// under.** SEQUITUR keeps it by construction — `join` removes a node's
+/// digram before relinking the node, and a node is removed before it is
+/// freed — and the index `debug_assert!`s it on every slot it inserts,
+/// removes or moves. A slot's home position is a function of its tag
+/// alone, so growth and backward-shift deletion never read the arena.
+///
+/// The table holds at most half as many entries as slots and never uses
+/// tombstones: deletion shifts the rest of the probe run back.
+#[derive(Debug, Clone, Default)]
+struct DigramIndex<H> {
+    /// Empty, or a power-of-two number of slots (at most 2^32).
+    slots: Vec<Slot>,
+    len: usize,
+    hasher: H,
+}
+
+impl<H: BuildHasher> DigramIndex<H> {
+    fn tag(&self, key: &DigramKey) -> u32 {
+        (self.hasher.hash_one(key) >> 32) as u32
+    }
+
+    /// The slot a tag probes first: its top `log2(slots)` bits.
+    fn home(&self, tag: u32) -> usize {
+        ((u64::from(tag) * self.slots.len() as u64) >> 32) as usize
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)`: the empty slot ending
+    /// its probe run. The table must have slots.
+    fn find(&self, nodes: &[Node], key: &DigramKey, tag: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let slot = self.slots[i];
+            if slot.node == NIL {
+                return Err(i);
+            }
+            if slot.tag == tag && digram_key(nodes, slot.node).as_ref() == Some(key) {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The node indexed under `key`.
+    fn get(&self, nodes: &[Node], key: &DigramKey) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(nodes, key, self.tag(key))
+            .ok()
+            .map(|i| self.slots[i].node)
+    }
+
+    /// The node indexed under `key`; if there is none, indexes `node`
+    /// under it and returns `None`.
+    fn get_or_insert(
+        &mut self,
+        nodes: &[Node],
+        key: &DigramKey,
+        node: NodeId,
+    ) -> Option<&mut NodeId> {
+        debug_assert_eq!(
+            digram_key(nodes, node).as_ref(),
+            Some(key),
+            "node {node} indexed under a digram it does not start"
+        );
+        self.reserve(1);
+        let tag = self.tag(key);
+        match self.find(nodes, key, tag) {
+            Ok(i) => Some(&mut self.slots[i].node),
+            Err(i) => {
+                self.slots[i] = Slot { tag, node };
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    /// Indexes `node` under `key`, replacing any node indexed under it.
+    fn insert(&mut self, nodes: &[Node], key: &DigramKey, node: NodeId) {
+        if let Some(old) = self.get_or_insert(nodes, key, node) {
+            *old = node;
+        }
+    }
+
+    /// Removes the entry for `key` if it indexes `node`. By the index
+    /// invariant `node` can only be indexed under `key`, so this scans
+    /// `key`'s probe run for `node` without reading the arena.
+    fn remove(&mut self, nodes: &[Node], key: &DigramKey, node: NodeId) {
+        if self.slots.is_empty() {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let tag = self.tag(key);
+        let mut i = self.home(tag);
+        loop {
+            let slot = self.slots[i];
+            if slot.node == NIL {
+                return;
+            }
+            if slot.node == node {
+                debug_assert_eq!(slot.tag, tag, "node {node} indexed under another key");
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        // Backward-shift deletion: move each later slot of the run into
+        // the hole unless its home lies cyclically after the hole.
+        let mut hole = i;
+        let mut j = (i + 1) & mask;
+        loop {
+            let slot = self.slots[j];
+            if slot.node == NIL {
+                break;
+            }
+            debug_assert!(
+                digram_key(nodes, slot.node).is_some_and(|k| self.tag(&k) == slot.tag),
+                "digram index invariant: node {} no longer holds the digram it was indexed under",
+                slot.node
+            );
+            let home = self.home(slot.tag);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = j;
+            }
+            j = (j + 1) & mask;
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    /// Grows the table so that `additional` more entries keep it at most
+    /// half full.
+    fn reserve(&mut self, additional: usize) {
+        let needed = (self.len + additional) * 2;
+        if needed <= self.slots.len() {
+            return;
+        }
+        let cap = needed.next_power_of_two().max(16);
+        assert!(cap <= 1 << 32, "digram index overflow");
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; cap]);
+        let mask = cap - 1;
+        for slot in old.into_iter().filter(|s| s.node != NIL) {
+            let mut i = self.home(slot.tag);
+            while self.slots[i].node != NIL {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The indexed nodes, in slot order.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.slots.iter().map(|s| s.node).filter(|&n| n != NIL)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -49,8 +322,15 @@ struct RuleData {
 /// [`into_grammar`](Sequitur::into_grammar) to obtain the final, immutable
 /// [`Grammar`].
 ///
-/// The digram index defaults to the in-tree seedless
-/// [`FxBuildHasher`]: digram keys are simulator-generated integers (never
+/// Symbol nodes live in one `Vec` arena with a free list, 16 bytes each:
+/// node ids are 30 bits wide, so one builder holds at most 2^30 − 1 nodes
+/// (guards included) and panics with "node arena overflow" beyond that.
+/// The digram index is an in-tree open-addressing table of 8-byte
+/// `(fingerprint, node)` slots that re-derives each key from the arena;
+/// see `DigramIndex` for the invariant that makes this sound.
+///
+/// The index hashes with the in-tree seedless [`FxBuildHasher`] by
+/// default: digram keys are simulator-generated integers (never
 /// attacker-controlled), the index is probed on every pushed symbol, and
 /// a seedless hash keeps index behavior identical across processes. The
 /// hasher is a type parameter only so differential tests can pin the
@@ -62,7 +342,7 @@ pub struct Sequitur<H: BuildHasher = FxBuildHasher> {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
     rules: Vec<RuleData>,
-    index: HashMap<DigramKey, NodeId, H>,
+    index: DigramIndex<H>,
     input_len: u64,
 }
 
@@ -72,8 +352,10 @@ impl Sequitur {
         Self::with_hasher()
     }
 
-    /// Creates a builder with node capacity preallocated for an input of
-    /// roughly `len` symbols.
+    /// Creates a builder preallocated for an input of roughly `len`
+    /// symbols: room for 1.5 × `len` nodes (an arena can outgrow its
+    /// input by the rules' guards and references) and an index for
+    /// `len` digrams (miss traces index at most ~0.96 per symbol).
     pub fn with_capacity(len: usize) -> Self {
         let mut s = Self::new();
         s.nodes.reserve(len + len / 2);
@@ -95,7 +377,7 @@ impl<H: BuildHasher + Default> Sequitur<H> {
             nodes: Vec::new(),
             free: Vec::new(),
             rules: Vec::new(),
-            index: HashMap::default(),
+            index: DigramIndex::default(),
             input_len: 0,
         };
         s.new_rule(); // rule 0 = root
@@ -111,7 +393,7 @@ impl<H: BuildHasher> Sequitur<H> {
 
     /// Current number of entries in the digram hash index.
     pub fn digram_index_len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Rules ever created (including the root and rules later deleted
@@ -136,9 +418,9 @@ impl<H: BuildHasher> Sequitur<H> {
         self.input_len += 1;
         let node = self.alloc(Payload::Terminal(symbol));
         let root_guard = self.rules[0].guard;
-        let last = self.nodes[root_guard as usize].prev;
+        let last = self.nodes[root_guard as usize].prev();
         self.insert_after(last, node);
-        let prev = self.nodes[node as usize].prev;
+        let prev = self.nodes[node as usize].prev();
         if prev != root_guard {
             self.check(prev);
         }
@@ -181,17 +463,17 @@ impl<H: BuildHasher> Sequitur<H> {
                 continue;
             }
             let mut body = Vec::new();
-            let mut cur = self.nodes[r.guard as usize].next;
+            let mut cur = self.nodes[r.guard as usize].next();
             while cur != r.guard {
                 let n = &self.nodes[cur as usize];
-                body.push(match n.payload {
+                body.push(match n.payload() {
                     Payload::Terminal(t) => GrammarSymbol::Terminal(t),
                     Payload::NonTerminal(rid) => {
                         GrammarSymbol::Rule(mapping[rid as usize].expect("reference to dead rule"))
                     }
                     Payload::Guard(_) => unreachable!("guard inside rule body"),
                 });
-                cur = n.next;
+                cur = n.next();
             }
             bodies.push(body);
             debug_assert_eq!(mapping[i], Some(RuleId::new(bodies.len() - 1)));
@@ -206,23 +488,18 @@ impl<H: BuildHasher> Sequitur<H> {
             self.rules[r as usize].refcount += 1;
         }
         if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = Node {
-                prev: NIL,
-                next: NIL,
-                payload,
-                alive: true,
-            };
+            self.nodes[id as usize] = Node::new(payload);
             id
         } else {
-            let id = u32::try_from(self.nodes.len()).expect("node arena overflow");
-            self.nodes.push(Node {
-                prev: NIL,
-                next: NIL,
-                payload,
-                alive: true,
-            });
+            let id = node_id(self.nodes.len());
+            self.nodes.push(Node::new(payload));
             id
         }
+    }
+
+    fn free_node(&mut self, id: NodeId) {
+        self.nodes[id as usize].next |= FREED;
+        self.free.push(id);
     }
 
     fn new_rule(&mut self) -> u32 {
@@ -230,8 +507,8 @@ impl<H: BuildHasher> Sequitur<H> {
         let guard = self.alloc(Payload::Guard(rule_id));
         // The guard closes the circular list on itself while the body is
         // empty.
-        self.nodes[guard as usize].prev = guard;
-        self.nodes[guard as usize].next = guard;
+        self.nodes[guard as usize].set_prev(guard);
+        self.nodes[guard as usize].set_next(guard);
         self.rules.push(RuleData {
             guard,
             refcount: 0,
@@ -240,75 +517,63 @@ impl<H: BuildHasher> Sequitur<H> {
         rule_id
     }
 
-    fn node(&self, id: NodeId) -> &Node {
-        let n = &self.nodes[id as usize];
-        debug_assert!(n.alive, "access to freed node {id}");
-        n
+    fn digram_key(&self, first: NodeId) -> Option<DigramKey> {
+        digram_key(&self.nodes, first)
     }
 
-    /// The digram key starting at `first`, or `None` if either symbol is a
-    /// guard.
-    fn digram_key(&self, first: NodeId) -> Option<DigramKey> {
-        let n = self.node(first);
-        if matches!(n.payload, Payload::Guard(_)) {
-            return None;
+    /// Indexes the digram starting at `first`, if it has one, replacing
+    /// any node indexed under the same key.
+    fn index_digram(&mut self, first: NodeId) {
+        if let Some(key) = self.digram_key(first) {
+            self.index.insert(&self.nodes, &key, first);
         }
-        let second = self.node(n.next);
-        if matches!(second.payload, Payload::Guard(_)) {
-            return None;
-        }
-        Some((n.payload, second.payload))
     }
 
     /// Removes the digram starting at `first` from the index, if the index
     /// entry points at `first`.
     fn delete_digram(&mut self, first: NodeId) {
         if let Some(key) = self.digram_key(first) {
-            if self.index.get(&key) == Some(&first) {
-                self.index.remove(&key);
-            }
+            self.index.remove(&self.nodes, &key, first);
         }
+    }
+
+    /// The payload of the non-guard node `id` if it sits between two
+    /// nodes with that payload (the middle of a triple).
+    fn triple_middle(&self, id: NodeId) -> Option<Payload> {
+        let n = &self.nodes[id as usize];
+        let (p, x) = (n.prev(), n.next());
+        (p != NIL
+            && x != NIL
+            && !n.is_guard()
+            && self.nodes[p as usize].same_symbol(n)
+            && self.nodes[x as usize].same_symbol(n))
+        .then(|| n.payload())
     }
 
     /// Links `left -> right`, removing `left`'s old digram from the index
     /// and re-indexing overlapping digrams in runs of identical symbols.
     fn join(&mut self, left: NodeId, right: NodeId) {
-        if self.nodes[left as usize].next != NIL {
+        if self.nodes[left as usize].next() != NIL {
             self.delete_digram(left);
 
             // Triple fix-ups (see canonical implementation): when digrams
             // overlap in a run of equal symbols only the later one is
             // indexed; on deletion of the later one, restore the earlier.
-            let rp = self.nodes[right as usize].prev;
-            let rn = self.nodes[right as usize].next;
-            if rp != NIL && rn != NIL {
-                let v = self.nodes[right as usize].payload;
-                if !matches!(v, Payload::Guard(_))
-                    && self.nodes[rp as usize].payload == v
-                    && self.nodes[rn as usize].payload == v
-                {
-                    self.index.insert((v, v), right);
-                }
+            if let Some(v) = self.triple_middle(right) {
+                self.index.insert(&self.nodes, &(v, v), right);
             }
-            let lp = self.nodes[left as usize].prev;
-            let ln = self.nodes[left as usize].next;
-            if lp != NIL && ln != NIL {
-                let v = self.nodes[left as usize].payload;
-                if !matches!(v, Payload::Guard(_))
-                    && self.nodes[lp as usize].payload == v
-                    && self.nodes[ln as usize].payload == v
-                {
-                    self.index.insert((v, v), lp);
-                }
+            if let Some(v) = self.triple_middle(left) {
+                let lp = self.nodes[left as usize].prev();
+                self.index.insert(&self.nodes, &(v, v), lp);
             }
         }
-        self.nodes[left as usize].next = right;
-        self.nodes[right as usize].prev = left;
+        self.nodes[left as usize].set_next(right);
+        self.nodes[right as usize].set_prev(left);
     }
 
     /// Inserts `new` immediately after `node`.
     fn insert_after(&mut self, node: NodeId, new: NodeId) {
-        let next = self.nodes[node as usize].next;
+        let next = self.nodes[node as usize].next();
         self.join(new, next);
         self.join(node, new);
     }
@@ -317,17 +582,16 @@ impl<H: BuildHasher> Sequitur<H> {
     /// neighbors, removes its digram from the index, and drops a rule
     /// reference if it was a non-terminal.
     fn delete_symbol(&mut self, node: NodeId) {
-        let prev = self.nodes[node as usize].prev;
-        let next = self.nodes[node as usize].next;
+        let prev = self.nodes[node as usize].prev();
+        let next = self.nodes[node as usize].next();
         self.join(prev, next);
         // Own digram removal uses the *old* neighbor, which `join` left
         // intact in this node's link fields.
         self.delete_digram(node);
-        if let Payload::NonTerminal(r) = self.nodes[node as usize].payload {
+        if let Payload::NonTerminal(r) = self.nodes[node as usize].payload() {
             self.rules[r as usize].refcount -= 1;
         }
-        self.nodes[node as usize].alive = false;
-        self.free.push(node);
+        self.free_node(node);
     }
 
     /// Checks the digram starting at `first` against the index, performing a
@@ -337,15 +601,12 @@ impl<H: BuildHasher> Sequitur<H> {
         let Some(key) = self.digram_key(first) else {
             return false;
         };
-        match self.index.get(&key) {
-            None => {
-                self.index.insert(key, first);
-                false
-            }
-            Some(&found) => {
+        match self.index.get_or_insert(&self.nodes, &key, first).copied() {
+            None => false,
+            Some(found) => {
                 // Skip self-hits and overlapping occurrences (runs like
                 // "aaa", where found's second symbol is our first).
-                if found != first && self.nodes[found as usize].next != first {
+                if found != first && self.nodes[found as usize].next() != first {
                     self.match_digrams(first, found);
                 }
                 true
@@ -356,14 +617,14 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Handles a repeated digram: `new_d` just formed, `found` is the
     /// indexed earlier occurrence.
     fn match_digrams(&mut self, new_d: NodeId, found: NodeId) {
-        let found_prev = self.nodes[found as usize].prev;
-        let found_next = self.nodes[found as usize].next;
-        let found_next_next = self.nodes[found_next as usize].next;
+        let found_prev = self.nodes[found as usize].prev();
+        let found_next = self.nodes[found as usize].next();
+        let found_next_next = self.nodes[found_next as usize].next();
 
         let rule_id;
         if let (Payload::Guard(r1), Payload::Guard(r2)) = (
-            self.nodes[found_prev as usize].payload,
-            self.nodes[found_next_next as usize].payload,
+            self.nodes[found_prev as usize].payload(),
+            self.nodes[found_next_next as usize].payload(),
         ) {
             // `found`'s digram is the entire body of an existing rule:
             // reuse it.
@@ -375,21 +636,19 @@ impl<H: BuildHasher> Sequitur<H> {
             // occurrences.
             rule_id = self.new_rule();
             let guard = self.rules[rule_id as usize].guard;
-            let c1 = self.alloc(self.nodes[new_d as usize].payload);
-            let second = self.nodes[new_d as usize].next;
-            let second_payload = self.nodes[second as usize].payload;
-            let last = self.nodes[guard as usize].prev;
+            let c1 = self.alloc(self.nodes[new_d as usize].payload());
+            let second = self.nodes[new_d as usize].next();
+            let second_payload = self.nodes[second as usize].payload();
+            let last = self.nodes[guard as usize].prev();
             self.insert_after(last, c1);
             let c2 = self.alloc(second_payload);
-            let last = self.nodes[guard as usize].prev;
+            let last = self.nodes[guard as usize].prev();
             self.insert_after(last, c2);
             self.substitute(found, rule_id);
             self.substitute(new_d, rule_id);
             // Index the digram inside the new rule body.
-            let first_body = self.nodes[guard as usize].next;
-            if let Some(key) = self.digram_key(first_body) {
-                self.index.insert(key, first_body);
-            }
+            let first_body = self.nodes[guard as usize].next();
+            self.index_digram(first_body);
         }
 
         // Rule utility: if the first symbol of the (re)used rule is a
@@ -398,8 +657,8 @@ impl<H: BuildHasher> Sequitur<H> {
             return;
         }
         let guard = self.rules[rule_id as usize].guard;
-        let first_body = self.nodes[guard as usize].next;
-        if let Payload::NonTerminal(inner) = self.nodes[first_body as usize].payload {
+        let first_body = self.nodes[guard as usize].next();
+        if let Payload::NonTerminal(inner) = self.nodes[first_body as usize].payload() {
             if self.rules[inner as usize].refcount == 1 {
                 self.expand(first_body);
             }
@@ -409,15 +668,15 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Replaces the digram starting at `first` with a non-terminal for
     /// `rule`, then re-checks the digrams formed on either side.
     fn substitute(&mut self, first: NodeId, rule: u32) {
-        let prev = self.nodes[first as usize].prev;
-        let a = self.nodes[prev as usize].next;
+        let prev = self.nodes[first as usize].prev();
+        let a = self.nodes[prev as usize].next();
         self.delete_symbol(a);
-        let b = self.nodes[prev as usize].next;
+        let b = self.nodes[prev as usize].next();
         self.delete_symbol(b);
         let nt = self.alloc(Payload::NonTerminal(rule));
         self.insert_after(prev, nt);
         if !self.check(prev) {
-            let pn = self.nodes[prev as usize].next;
+            let pn = self.nodes[prev as usize].next();
             self.check(pn);
         }
     }
@@ -425,14 +684,14 @@ impl<H: BuildHasher> Sequitur<H> {
     /// Rule utility repair: inlines the single-use rule referenced by the
     /// non-terminal `node` into its surrounding body and deletes the rule.
     fn expand(&mut self, node: NodeId) {
-        let Payload::NonTerminal(rule) = self.nodes[node as usize].payload else {
+        let Payload::NonTerminal(rule) = self.nodes[node as usize].payload() else {
             unreachable!("expand on non-non-terminal");
         };
-        let left = self.nodes[node as usize].prev;
-        let right = self.nodes[node as usize].next;
+        let left = self.nodes[node as usize].prev();
+        let right = self.nodes[node as usize].next();
         let guard = self.rules[rule as usize].guard;
-        let body_first = self.nodes[guard as usize].next;
-        let body_last = self.nodes[guard as usize].prev;
+        let body_first = self.nodes[guard as usize].next();
+        let body_last = self.nodes[guard as usize].prev();
         debug_assert_ne!(body_first, guard, "expanding an empty rule");
 
         // Remove the digram starting at `node`, splice the body in place of
@@ -441,16 +700,12 @@ impl<H: BuildHasher> Sequitur<H> {
         self.delete_digram(node);
         self.join(left, body_first);
         self.join(body_last, right);
-        if let Some(key) = self.digram_key(body_last) {
-            self.index.insert(key, body_last);
-        }
+        self.index_digram(body_last);
 
         self.rules[rule as usize].refcount -= 1;
         debug_assert_eq!(self.rules[rule as usize].refcount, 0);
-        self.nodes[node as usize].alive = false;
-        self.free.push(node);
-        self.nodes[guard as usize].alive = false;
-        self.free.push(guard);
+        self.free_node(node);
+        self.free_node(guard);
         self.rules[rule as usize].alive = false;
     }
 
@@ -475,20 +730,21 @@ impl<H: BuildHasher> Sequitur<H> {
             // Walk the body; verify links and collect digrams.
             let guard = rule.guard;
             assert!(
-                matches!(self.nodes[guard as usize].payload, Payload::Guard(g) if g as usize == rid),
+                matches!(self.nodes[guard as usize].payload(), Payload::Guard(g) if g as usize == rid),
                 "rule {rid}: guard payload mismatch"
             );
-            let mut cur = self.nodes[guard as usize].next;
+            let mut cur = self.nodes[guard as usize].next();
             let mut pos = 0usize;
             let mut body_len = 0usize;
             while cur != guard {
                 let n = &self.nodes[cur as usize];
-                assert!(n.alive, "rule {rid}: dead node {cur} in body");
+                assert!(n.alive(), "rule {rid}: dead node {cur} in body");
                 assert_eq!(
-                    self.nodes[n.next as usize].prev, cur,
+                    self.nodes[n.next() as usize].prev(),
+                    cur,
                     "rule {rid}: broken back-link at node {cur}"
                 );
-                if let Payload::NonTerminal(r) = n.payload {
+                if let Payload::NonTerminal(r) = n.payload() {
                     assert!(
                         self.rules[r as usize].alive,
                         "rule {rid}: reference to dead rule {r}"
@@ -510,11 +766,11 @@ impl<H: BuildHasher> Sequitur<H> {
                         digrams_seen.insert(key, (rid, pos));
                     }
                     assert!(
-                        self.index.contains_key(&key),
+                        self.index.get(&self.nodes, &key).is_some(),
                         "digram {key:?} (rule {rid} pos {pos}) missing from index"
                     );
                 }
-                cur = n.next;
+                cur = n.next();
                 pos += 1;
                 body_len += 1;
                 assert!(
@@ -546,17 +802,28 @@ impl<H: BuildHasher> Sequitur<H> {
             }
         }
 
-        // Every index entry must point at a live node whose current digram
-        // matches its key.
-        for (key, &node) in &self.index {
+        // Every index entry must point at a live node that still starts a
+        // digram with the entry's fingerprint, and be the entry a lookup
+        // of that digram finds (so no key is indexed twice).
+        let mut entries = 0usize;
+        for node in self.index.nodes() {
+            entries += 1;
             let n = &self.nodes[node as usize];
-            assert!(n.alive, "index entry {key:?} points at dead node {node}");
+            assert!(n.alive(), "index entry points at dead node {node}");
+            let key = self
+                .digram_key(node)
+                .unwrap_or_else(|| panic!("index entry at node {node} starts no digram"));
             assert_eq!(
-                self.digram_key(node),
-                Some(*key),
-                "index entry {key:?} points at node {node} with different digram"
+                self.index.get(&self.nodes, &key),
+                Some(node),
+                "index entry {key:?} at node {node} is shadowed or misplaced"
             );
         }
+        assert_eq!(entries, self.index.len, "index length out of sync");
+        assert!(
+            self.index.len * 2 <= self.index.slots.len(),
+            "index over half full"
+        );
     }
 }
 
@@ -675,6 +942,153 @@ mod tests {
             a.into_grammar().reconstruct(),
             b.into_grammar().reconstruct()
         );
+    }
+
+    #[test]
+    fn packed_nodes_round_trip_extreme_payloads() {
+        let payloads = [
+            Payload::Terminal(0),
+            Payload::Terminal(1 << 63),
+            Payload::Terminal(u64::MAX),
+            Payload::NonTerminal(0),
+            Payload::NonTerminal(u32::MAX),
+            Payload::Guard(7),
+        ];
+        for p in payloads {
+            let mut n = Node::new(p);
+            assert_eq!((n.prev(), n.next()), (NIL, NIL));
+            for id in [0, 1, NIL - 1, NIL] {
+                n.set_prev(id);
+                n.set_next(id);
+                assert_eq!(n.payload(), p);
+                assert_eq!((n.prev(), n.next()), (id, id));
+                assert!(n.alive());
+            }
+            n.next |= FREED;
+            assert!(!n.alive());
+            assert_eq!((n.payload(), n.next()), (p, NIL));
+        }
+    }
+
+    #[test]
+    fn extreme_terminals_mixed_with_rules_round_trip() {
+        let (a, b, c) = (0u64, 1u64 << 63, u64::MAX);
+        let unit = [a, b, c, c, b, a];
+        let mut input = Vec::new();
+        for i in 0..12u64 {
+            input.extend(unit);
+            input.push([a, b, c][i as usize % 3]);
+            input.extend([c, a]);
+        }
+        let g = build(&input);
+        assert_eq!(g.reconstruct(), input);
+        let mixed = g.rule_ids().any(|r| {
+            let body = g.rule_body(r);
+            body.iter().any(|s| matches!(s, GrammarSymbol::Rule(_)))
+                && body.iter().any(|s| matches!(s, GrammarSymbol::Terminal(_)))
+        });
+        assert!(mixed, "no rule body mixes terminals and rule references");
+        for t in [a, b, c] {
+            let found = g
+                .rule_ids()
+                .any(|r| g.rule_body(r).contains(&GrammarSymbol::Terminal(t)));
+            assert!(found, "terminal {t:#x} lost");
+        }
+    }
+
+    #[test]
+    fn node_ids_stop_below_nil() {
+        assert_eq!(node_id(0), 0);
+        assert_eq!(node_id(NIL as usize - 1), NIL - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "node arena overflow")]
+    fn node_id_reaching_nil_panics() {
+        node_id(NIL as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "node arena overflow")]
+    fn node_id_past_u32_panics() {
+        node_id(u32::MAX as usize + 1);
+    }
+
+    /// Fx, except that one key in eight hashes into the top 2^-16 of the
+    /// hash space: its home is the index's last slot, so those entries
+    /// form a probe run that wraps around to slot 0.
+    #[derive(Default)]
+    struct WrapHasher(tempstream_fxhash::FxHasher);
+
+    impl std::hash::Hasher for WrapHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.write(bytes);
+        }
+        fn finish(&self) -> u64 {
+            let h = self.0.finish();
+            if h >> 61 == 0 {
+                0xffff << 48 | h >> 16
+            } else {
+                h
+            }
+        }
+    }
+
+    #[test]
+    fn index_growth_and_wrapping_deletions_keep_invariants() {
+        type WrapBuild = std::hash::BuildHasherDefault<WrapHasher>;
+        let mut rng = tempstream_trace::rng::SmallRng::seed_from_u64(0x1dc5);
+        let streams: Vec<Vec<u64>> = (0..12)
+            .map(|s| (0..6).map(|i| 1_000 + s * 100 + i).collect())
+            .collect();
+        let mut input = Vec::new();
+        while input.len() < 2_000 {
+            if rng.gen_ratio(1, 2) {
+                input.extend(&streams[rng.gen_range(0..streams.len())]);
+            } else {
+                input.push(rng.gen_range(0..400));
+            }
+        }
+        let mut s = Sequitur::<WrapBuild>::with_hasher();
+        let mut capacities = vec![0];
+        let (mut removed, mut removed_from_wrapping_run) = (0, 0);
+        for &x in &input {
+            // Indexed nodes before the push, flagged if homed at the last
+            // slot (a member of the run that wraps around).
+            let last = s.index.slots.len().wrapping_sub(1);
+            let before: Vec<(NodeId, bool)> = s
+                .index
+                .slots
+                .iter()
+                .filter(|slot| slot.node != NIL)
+                .map(|slot| (slot.node, s.index.home(slot.tag) == last))
+                .collect();
+            s.push(x);
+            s.verify_invariants();
+            let after: std::collections::HashSet<NodeId> = s.index.nodes().collect();
+            for (node, wraps) in before {
+                if !after.contains(&node) {
+                    removed += 1;
+                    removed_from_wrapping_run += usize::from(wraps);
+                }
+            }
+            if capacities.last() != Some(&s.index.slots.len()) {
+                capacities.push(s.index.slots.len());
+            }
+        }
+        assert!(capacities.len() >= 6, "index grew only {capacities:?}");
+        assert!(
+            removed_from_wrapping_run >= 50,
+            "{removed_from_wrapping_run} of {removed} removals hit the wrapping run"
+        );
+        let mut fx = Sequitur::new();
+        fx.extend(input.iter().copied());
+        let (g, h) = (s.into_grammar(), fx.into_grammar());
+        assert_eq!(g.rule_count(), h.rule_count());
+        for r in g.rule_ids() {
+            assert_eq!(g.rule_body(r), h.rule_body(r), "rule {r}");
+        }
+        assert_eq!(g.reconstruct(), input);
     }
 
     #[test]
