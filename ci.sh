@@ -21,11 +21,12 @@
 #      top-level keys and leaves stdout untouched
 #  10. serve soak gates: a live server on loopback, driven by the
 #      in-tree load generator with --verify (online answers must match
-#      the offline batch comparator bit-exactly); the metrics snapshot
-#      must show zero dropped frames, and the server must drain cleanly.
-#      Run twice: half-duplex v1, then pipelined v2 (--window 8 with
-#      interleaved QueryDelta probes), whose throughput must not fall
-#      below the single-in-flight baseline
+#      the offline batch comparator bit-exactly, interleaved QueryDelta
+#      probes must telescope to them); the metrics snapshot must show
+#      zero dropped frames, and the server must drain cleanly. Run
+#      three times each at --window 1 and --window 8; the median
+#      window-8 throughput must not fall below the median window-1
+#      baseline
 #  11. perf smoke gate: the parallel pipeline must not be slower than
 #      the serial runner (reduced sample count via
 #      TEMPSTREAM_BENCH_SAMPLES), plus the serve ingest bench emitting
@@ -122,80 +123,65 @@ jq -e '(.metrics.spans | has("stage")) and (.metrics.counters | has("sim")) and 
   "$det_dir/metrics.json" >/dev/null \
   || { echo "metrics gate FAILED: registry missing stage/sim/sequitur sections"; exit 1; }
 
-echo "== serve soak: loopback ingest + verify + drain =="
+echo "== serve soak: loopback ingest + verify + drain, window 1 and 8 =="
 # A real server process on an ephemeral loopback port, a real client.
 # serve-load --verify recomputes the answers offline (same shard hash,
 # same batch stages) and fails on any mismatch; one connection makes
-# the check bit-exact. The snapshot then proves flow control did its
-# job: every frame accepted or refused with Busy, none dropped.
-./target/release/serve --shards 2 >"$det_dir/serve.out" 2>"$det_dir/serve.err" &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 100); do
-  serve_addr=$(awk '/^LISTENING /{ print $2 }' "$det_dir/serve.out")
-  [ -n "$serve_addr" ] && break
-  sleep 0.1
+# the check bit-exact (the client reconstructs the ack order and
+# telescopes the interleaved QueryDelta probes against the offline
+# comparator). The snapshot then proves flow control did its job:
+# every frame accepted or refused with Busy, none dropped.
+#
+# serve_soak WINDOW TAG: one soak run; leaves the summary in $det_dir/TAG.json.
+serve_soak() {
+  local window=$1 tag=$2 pid addr=""
+  ./target/release/serve --shards 2 >"$det_dir/$tag.out" 2>"$det_dir/$tag.err" &
+  pid=$!
+  for _ in $(seq 1 100); do
+    addr=$(awk '/^LISTENING /{ print $2 }' "$det_dir/$tag.out")
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  [ -n "$addr" ] \
+    || { echo "serve soak $tag FAILED: server never printed LISTENING"; cat "$det_dir/$tag.err"; kill "$pid" 2>/dev/null; exit 1; }
+  ./target/release/serve-load --addr "$addr" --shards 2 --verify --window "$window" \
+      --bytes 262144 --batch 256 --metrics-out "$det_dir/$tag.json" --shutdown >/dev/null \
+    || { echo "serve soak $tag FAILED: serve-load exited non-zero"; kill "$pid" 2>/dev/null; exit 1; }
+  wait "$pid" \
+    || { echo "serve soak $tag FAILED: server exited non-zero"; exit 1; }
+  grep -q '^DRAINED$' "$det_dir/$tag.out" \
+    || { echo "serve soak $tag FAILED: server never reported a clean drain"; exit 1; }
+  jq -e --argjson window "$window" '.verify == "exact"
+         and .window == $window
+         and .delta_queries > 0
+         and .metrics.counters.serve.frames.dropped == 0
+         and .metrics.counters.serve.records.ingested > 0
+         and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
+      "$det_dir/$tag.json" >/dev/null \
+    || { echo "serve soak $tag FAILED: metrics snapshot rejected"; jq . "$det_dir/$tag.json"; exit 1; }
+  echo "serve soak $tag: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/$tag.json") records, $(jq -r '.delta_queries' "$det_dir/$tag.json") delta queries, 0 dropped frames, $(jq -r '.records_per_sec | floor' "$det_dir/$tag.json") rec/s, clean drain"
+}
+# Pipelining must not be slower than one frame in flight — that
+# throughput win is the point of the window. One ~250 KiB run per side
+# is too short to compare rates on a shared host, so the gate compares
+# the median of three runs per side, interleaved so drift hits both.
+# On a single CPU there is no idle round-trip time for pipelining to
+# hide, so — like the perf smoke gate below — the single-core form of
+# the gate only demands window 8 stay within 20% of window 1.
+for run in 1 2 3; do
+  serve_soak 1 "soak_w1_$run"
+  serve_soak 8 "soak_w8_$run"
 done
-[ -n "$serve_addr" ] \
-  || { echo "serve soak FAILED: server never printed LISTENING"; cat "$det_dir/serve.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
-./target/release/serve-load --addr "$serve_addr" --shards 2 --verify \
-    --bytes 262144 --batch 256 --metrics-out "$det_dir/serve_metrics.json" --shutdown >/dev/null \
-  || { echo "serve soak FAILED: serve-load exited non-zero"; kill "$serve_pid" 2>/dev/null; exit 1; }
-wait "$serve_pid" \
-  || { echo "serve soak FAILED: server exited non-zero"; exit 1; }
-grep -q '^DRAINED$' "$det_dir/serve.out" \
-  || { echo "serve soak FAILED: server never reported a clean drain"; exit 1; }
-jq -e '.verify == "exact"
-       and .metrics.counters.serve.frames.dropped == 0
-       and .metrics.counters.serve.records.ingested > 0
-       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
-    "$det_dir/serve_metrics.json" >/dev/null \
-  || { echo "serve soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve_metrics.json"; exit 1; }
-echo "serve soak: exact verify, $(jq -r '.metrics.counters.serve.records.ingested' "$det_dir/serve_metrics.json") records, 0 dropped frames, clean drain"
-base_rps=$(jq -r '.records_per_sec' "$det_dir/serve_metrics.json")
-
-echo "== serve soak: pipelined window=8 + incremental deltas =="
-# Same soak over protocol v2: eight frames in flight on one connection
-# with QueryDelta probes interleaved. Verification is still bit-exact
-# (the client reconstructs the ack order and telescopes the deltas
-# against the offline comparator), and pipelining must not be slower
-# than the single-in-flight baseline above — that throughput win is the
-# point of the feature. On a single CPU there is no idle round-trip
-# time for pipelining to hide, and the delta probes' consistent-cut
-# stalls cost real work, so — like the perf smoke gate below — the
-# single-core form of the gate only demands the pipelined path stays
-# within 20% of the baseline instead of beating it.
-./target/release/serve --shards 2 >"$det_dir/serve8.out" 2>"$det_dir/serve8.err" &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 100); do
-  serve_addr=$(awk '/^LISTENING /{ print $2 }' "$det_dir/serve8.out")
-  [ -n "$serve_addr" ] && break
-  sleep 0.1
-done
-[ -n "$serve_addr" ] \
-  || { echo "pipelined soak FAILED: server never printed LISTENING"; cat "$det_dir/serve8.err"; kill "$serve_pid" 2>/dev/null; exit 1; }
-./target/release/serve-load --addr "$serve_addr" --shards 2 --verify --window 8 \
-    --bytes 262144 --batch 256 --metrics-out "$det_dir/serve8_metrics.json" --shutdown >/dev/null \
-  || { echo "pipelined soak FAILED: serve-load exited non-zero"; kill "$serve_pid" 2>/dev/null; exit 1; }
-wait "$serve_pid" \
-  || { echo "pipelined soak FAILED: server exited non-zero"; exit 1; }
-grep -q '^DRAINED$' "$det_dir/serve8.out" \
-  || { echo "pipelined soak FAILED: server never reported a clean drain"; exit 1; }
-jq -e '.verify == "exact"
-       and .window == 8
-       and .delta_queries > 0
-       and .metrics.counters.serve.frames.dropped == 0
-       and .metrics.counters.serve.records.ingested > 0
-       and .metrics.counters.serve.records.ingested == .metrics.counters.serve.records.applied' \
-    "$det_dir/serve8_metrics.json" >/dev/null \
-  || { echo "pipelined soak FAILED: metrics snapshot rejected"; jq . "$det_dir/serve8_metrics.json"; exit 1; }
-pipe_rps=$(jq -r '.records_per_sec' "$det_dir/serve8_metrics.json")
+median_rps() {
+  for run in 1 2 3; do jq -r '.records_per_sec' "$det_dir/soak_w${1}_${run}.json"; done | sort -g | sed -n 2p
+}
+base_rps=$(median_rps 1)
+pipe_rps=$(median_rps 8)
 cores=$(nproc 2>/dev/null || echo 1)
 rps_factor=$([ "$cores" -le 1 ] && echo 0.8 || echo 1.0)
 awk -v p="$pipe_rps" -v b="$base_rps" -v f="$rps_factor" 'BEGIN { exit !(p >= b * f) }' \
-  || { echo "pipelined soak FAILED: window=8 throughput $pipe_rps rec/s < ${rps_factor}x window=1 baseline $base_rps rec/s (cores: $cores)"; exit 1; }
-echo "pipelined soak: exact verify, $(jq -r '.delta_queries' "$det_dir/serve8_metrics.json") delta queries, $pipe_rps rec/s (baseline $base_rps, factor $rps_factor), clean drain"
+  || { echo "serve soak FAILED: window=8 median throughput $pipe_rps rec/s < ${rps_factor}x window=1 median $base_rps rec/s (cores: $cores)"; exit 1; }
+echo "serve soak: window=8 median $pipe_rps rec/s vs window=1 median $base_rps rec/s (factor $rps_factor, cores: $cores)"
 
 echo "== perf smoke: parallel/4w vs serial =="
 # Three samples keep this a smoke test, not a benchmark: it exists to

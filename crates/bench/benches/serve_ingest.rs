@@ -1,6 +1,6 @@
 //! End-to-end server ingest throughput, loopback TCP.
 //!
-//! Two shapes, both over protocol v2 with a pipelined request window
+//! Two shapes, both with a pipelined request window
 //! so the wire round trip is off the critical path and the number
 //! reflects the server's routing + apply rate:
 //!
@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::net::TcpStream;
 
 use tempstream_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
-use tempstream_serve::wire::{read_frame, write_frame, write_message, Frame, MessageReader};
+use tempstream_serve::wire::{write_message, Frame, MessageReader};
 use tempstream_serve::{Server, ServerConfig};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::rng::SplitMix64;
@@ -30,7 +30,7 @@ use tempstream_trace::{Block, CpuId, FunctionId, MissClass, ThreadId};
 
 const RECORDS: usize = 131_072;
 const BATCH: usize = 1024;
-/// In-flight request cap per connection (v2 pipelining).
+/// In-flight request cap per connection.
 const WINDOW: usize = 16;
 /// Connections in the multi-connection variant.
 const CLIENTS: usize = 4;
@@ -48,7 +48,7 @@ fn seeded_records(seed: u64, n: usize) -> Vec<MissRecord<MissClass>> {
         .collect()
 }
 
-/// Streams `records` over one v2 connection with up to [`WINDOW`]
+/// Streams `records` over one connection with up to [`WINDOW`]
 /// ingest frames in flight; `Busy` frames are re-queued and retried.
 fn ingest_pipelined(conn: &mut TcpStream, records: &[MissRecord<MissClass>]) {
     let batches: Vec<&[MissRecord<MissClass>]> = records.chunks(BATCH).collect();
@@ -103,13 +103,18 @@ fn finish_server(
     conn: &mut TcpStream,
     handle: std::thread::JoinHandle<std::io::Result<()>>,
 ) -> u64 {
-    write_frame(&mut *conn, &Frame::QueryCoverage).expect("send");
-    let total = match read_frame(&mut *conn).expect("recv") {
+    let mut reader = MessageReader::new();
+    let mut call = |seq: u32, request: &Frame| {
+        write_message(&mut *conn, Some(seq), request).expect("send");
+        let reply = reader.next_from(&mut *conn).expect("recv");
+        assert_eq!(reply.seq, Some(seq), "reply echoes the request seq");
+        reply.frame
+    };
+    let total = match call(1, &Frame::QueryCoverage) {
         Frame::CoverageReply { total, .. } => total,
         other => panic!("unexpected coverage reply: {other:?}"),
     };
-    write_frame(&mut *conn, &Frame::Shutdown).expect("send");
-    assert_eq!(read_frame(&mut *conn).expect("recv"), Frame::ShutdownAck);
+    assert_eq!(call(2, &Frame::Shutdown), Frame::ShutdownAck);
     handle.join().expect("server thread").expect("server run");
     total
 }

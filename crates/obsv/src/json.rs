@@ -208,6 +208,7 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] with the byte offset of the first violation.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -221,6 +222,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -365,11 +367,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .ok()
+                    // Consume one UTF-8 character straight off the
+                    // already-validated &str: re-validating the rest of
+                    // the input per character would be quadratic.
+                    let ch = self
+                        .input
+                        .get(self.pos..)
                         .and_then(|r| r.chars().next())
                         .ok_or_else(|| self.err("invalid utf-8"))?;
                     s.push(ch);
@@ -485,6 +488,23 @@ mod tests {
             ]))
         );
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // A 1 MiB string value, as in a large metrics snapshot: a
+        // quadratic scan takes tens of seconds here, a linear one well
+        // under a second even in a debug build.
+        let value = "x".repeat(1 << 20);
+        let doc = format!("{{\"k\":\"{value}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("k").and_then(Json::as_str), Some(value.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "parsing took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! approximately. The loopback tests and the `serve-load --verify`
 //! client enforce this.
 //!
-//! Connections are **pipelined**: protocol v2 tags each request with a
-//! sequence id echoed in its reply, a per-connection reader dispatches
-//! frames back-to-back while a writer drains a bounded reply queue in
-//! FIFO order, and `QueryDelta` answers carry only the counters that
+//! Connections are **pipelined**: every request carries a sequence id
+//! echoed in its reply (a request without one is rejected), a
+//! per-connection reader dispatches frames back-to-back while a writer
+//! drains a bounded reply queue in FIFO order, and `QueryDelta` answers carry only the counters that
 //! changed since the connection's last consistent cut (a per-shard
 //! version check makes an idle delta query free, per-shard stream
 //! counts are memoized on that version, and each cursor patches a

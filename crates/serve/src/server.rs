@@ -22,13 +22,17 @@
 //!                                   per-shard ShardState (behind shim Mutex)
 //! ```
 //!
-//! Pipelining: protocol-v2 clients tag requests with a sequence id and
-//! send many frames back-to-back; the reader dispatches each as soon
-//! as it decodes, pushing the reply (with the echoed sequence id) onto
-//! the connection's bounded [`ReplyQueue`]. The writer drains it in
-//! FIFO order, so replies leave in dispatch order — the invariant that
-//! lets the client match replies to requests. A full reply queue
-//! blocks only that connection's reader (per-connection backpressure).
+//! Pipelining: every request carries a sequence id, and clients send
+//! many frames back-to-back; the reader dispatches each as soon as it
+//! decodes, pushing the reply (with the echoed sequence id) onto the
+//! connection's bounded [`ReplyQueue`]. The writer drains it in FIFO
+//! order, so replies leave in dispatch order — the invariant that lets
+//! the client match replies to requests. A full reply queue blocks
+//! only that connection's reader (per-connection backpressure). A
+//! request without a sequence id is answered with a seq-less
+//! `Error{ERR_BAD_FRAME}` and the connection closes, as on any decode
+//! failure; the seq-less envelope otherwise carries only the notices
+//! that answer no request (accept-time `Busy` and `Error{ERR_DRAINING}`).
 //!
 //! Ingest routing happens **in the readers**: each connection splits a
 //! decoded batch by [`shard_of`] into a per-connection scratch buffer
@@ -86,7 +90,7 @@ use crate::shard::{
     ShardState, StreamCounts,
 };
 use crate::wire::{
-    encode_message, write_frame, DeltaCounts, Frame, Message, MessageAssembler, ERR_BAD_FRAME,
+    encode_message, write_message, DeltaCounts, Frame, Message, MessageAssembler, ERR_BAD_FRAME,
     ERR_DRAINING, ERR_OVERSIZED,
 };
 use tempstream_fxhash::FxHashMap;
@@ -592,7 +596,8 @@ impl Shared {
 type ShardGuard<'a> = tempstream_runtime::sync::MutexGuard<'a, ShardState>;
 
 /// The reply stream between one connection's reader and writer: the
-/// echoed sequence id (None for v1 requests) plus the reply frame.
+/// echoed sequence id (None for a notice that answers no request) plus
+/// the reply frame.
 type ConnReplies = ReplyQueue<(Option<u32>, Frame)>;
 
 /// Frees one connection slot on drop — a drop guard, so a panicking
@@ -619,7 +624,7 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// One connection's reader: assemble messages (reassembling v2
+/// One connection's reader: assemble messages (reassembling
 /// continuation frames), dispatch each request as soon as it decodes —
 /// routing ingest frames onto the shard lanes itself — queue the
 /// reply, poll the drain flag. Never writes the socket.
@@ -639,35 +644,39 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
     let mut chunk = [0u8; 16 * 1024];
     loop {
         loop {
-            match asm.next_message() {
-                Ok(Some(Message { seq, frame })) => {
+            let failure = match asm.next_message() {
+                Ok(Some(Message {
+                    seq: Some(seq),
+                    frame,
+                })) => {
                     if fault_panic {
                         panic!("injected connection-handler fault (test hook)");
                     }
                     let (reply, keep_going) =
                         shared.handle_request(frame, &mut cursor, &mut scratch);
-                    if replies.push((seq, reply)).is_err() {
+                    if replies.push((Some(seq), reply)).is_err() {
                         return; // writer is gone; replies undeliverable
                     }
                     if !keep_going {
                         return;
                     }
+                    continue;
                 }
+                Ok(Some(Message { seq: None, .. })) => "request without a sequence id".to_string(),
                 Ok(None) => break,
-                Err(e) => {
-                    // Decode failure: the stream offset can no longer
-                    // be trusted. Report and tear down.
-                    shared.metrics.frames_errors.inc();
-                    let _ = replies.push((
-                        None,
-                        Frame::Error {
-                            code: ERR_BAD_FRAME,
-                            message: e.to_string(),
-                        },
-                    ));
-                    return;
-                }
-            }
+                // The stream offset can no longer be trusted.
+                Err(e) => e.to_string(),
+            };
+            // Report and tear down.
+            shared.metrics.frames_errors.inc();
+            let _ = replies.push((
+                None,
+                Frame::Error {
+                    code: ERR_BAD_FRAME,
+                    message: failure,
+                },
+            ));
+            return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
@@ -692,19 +701,19 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies, fa
 }
 
 /// One connection's writer: drains the reply queue in FIFO order onto
-/// the socket. A v1 reply too large for a single frame (registry JSON
-/// past the cap) is substituted with `Error{ERR_OVERSIZED}` — the
-/// connection survives; v2 replies split into continuation frames in
-/// `encode_message` instead.
+/// the socket. Replies past one frame split into continuation frames
+/// in `encode_message`; one that cannot encode even so (past
+/// `MAX_REASSEMBLED_BYTES`) is answered `Error{ERR_OVERSIZED}` and the
+/// connection survives.
 fn run_conn_writer(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies) {
     let mut buf = Vec::with_capacity(256);
     while let Some((seq, frame)) = replies.pop() {
         buf.clear();
-        if encode_message(seq, &frame, &mut buf).is_err() {
+        if let Err(e) = encode_message(seq, &frame, &mut buf) {
             shared.metrics.frames_errors.inc();
             let oversized = Frame::Error {
                 code: ERR_OVERSIZED,
-                message: "reply exceeds the v1 frame cap; retry over protocol v2".to_string(),
+                message: e.to_string(),
             };
             buf.clear();
             if encode_message(seq, &oversized, &mut buf).is_err() {
@@ -726,8 +735,9 @@ fn run_conn_writer(shared: &Shared, mut stream: TcpStream, replies: &ConnReplies
 fn reject_drain_backlog(listener: &TcpListener, first: TcpStream, shared: &Shared) {
     let reject = |mut s: TcpStream| {
         shared.metrics.conn_rejected.inc();
-        let _ = write_frame(
+        let _ = write_message(
             &mut s,
+            None,
             &Frame::Error {
                 code: ERR_DRAINING,
                 message: "server is draining".to_string(),
@@ -918,7 +928,7 @@ impl Server {
                 } else {
                     shared.metrics.conn_rejected.inc();
                     let mut stream = stream;
-                    let _ = write_frame(&mut stream, &Frame::Busy);
+                    let _ = write_message(&mut stream, None, &Frame::Busy);
                 }
             }
         });

@@ -4,21 +4,25 @@
 //!
 //! ```text
 //! len      u32 LE      length of everything after this field
-//! version  u8          1 or 2
+//! version  u8          2 (sequence-tagged) or 1 (seq-less notice)
 //! type     u8          frame discriminant (see Frame)
-//! seq      u32 LE      v2 only: request sequence id, echoed in replies
+//! seq      u32 LE      version 2 only: request sequence id, echoed in replies
 //! payload  …           type-specific
 //! crc      u32 LE      CRC-32/IEEE over version + type [+ seq] + payload
 //! ```
 //!
-//! Protocol **v1** is strictly half-duplex request/reply. Protocol
-//! **v2** adds a `u32` sequence id after the type byte: clients may
-//! pipeline many requests back-to-back and match replies by their
-//! echoed sequence id, and replies whose payload exceeds
-//! [`MAX_FRAME_BYTES`] are split across [`Frame::Partial`] continuation
-//! frames (same sequence id, reassembled by [`MessageAssembler`])
-//! instead of failing to encode. v2 also carries the incremental query
-//! frames [`Frame::QueryDelta`] / [`Frame::DeltaReply`].
+//! Every request carries a `u32` sequence id after the type byte, and
+//! every reply echoes it: clients may pipeline many requests
+//! back-to-back and match replies by their echoed sequence id. The
+//! seq-less envelope (version byte 1) is only the encoding of
+//! [`Message`]`{ seq: None }`; the server uses it for the connection
+//! notices that answer no request (accept-time `Busy`, a draining
+//! `Error`, a decode-failure `Error`) and rejects a seq-less request.
+//!
+//! A payload too large for one frame is split across [`Frame::Partial`]
+//! continuation frames (same sequence id, reassembled by
+//! [`MessageAssembler`]) instead of failing to encode; only a payload
+//! over [`MAX_REASSEMBLED_BYTES`] is [`WireError::Oversized`].
 //!
 //! Ingest payloads carry runs of records in the *same* 21-byte encoding
 //! the `trace::io` file format uses ([`tempstream_trace::io::encode_record`]),
@@ -28,19 +32,19 @@
 //! malformed, truncated, oversized, or checksum-corrupted frame never
 //! panics the decoder — it surfaces as a [`WireError`], which the
 //! server answers with an [`Frame::Error`] reply before closing the
-//! connection. On the encode side, a v1 frame whose payload cannot fit
-//! [`MAX_FRAME_BYTES`] surfaces as [`WireError::Oversized`] rather
-//! than panicking.
+//! connection.
 
 use std::io::{Read, Write};
 use tempstream_trace::io::{decode_record, encode_record, ReadTraceError, RECORD_BYTES};
 use tempstream_trace::miss::MissRecord;
 use tempstream_trace::MissClass;
 
-/// Protocol version byte of the original half-duplex protocol.
+/// Version byte of the seq-less envelope, used only for connection
+/// notices that answer no request.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Protocol version byte of the pipelined, sequence-tagged protocol.
+/// Version byte of the sequence-tagged envelope every request and
+/// every reply to a request uses.
 pub const PROTOCOL_V2: u8 = 2;
 
 /// Hard cap on `len`: bounds the allocation a hostile or corrupt
@@ -55,23 +59,23 @@ pub const MAX_REASSEMBLED_BYTES: usize = 16 << 20;
 /// Maximum records per ingest frame.
 pub const MAX_BATCH_RECORDS: usize = 32_768;
 
-/// Frame overhead after the length prefix: version + type + crc.
+/// Seq-less frame overhead after the length prefix: version + type + crc.
 const ENVELOPE_BYTES: usize = 1 + 1 + 4;
 
-/// v2 frame overhead after the length prefix: version + type + seq + crc.
+/// Sequence-tagged frame overhead after the length prefix: version +
+/// type + seq + crc.
 const ENVELOPE_V2_BYTES: usize = 1 + 1 + 4 + 4;
 
 /// Error code carried by [`Frame::Error`]: the peer sent a frame that
-/// failed to decode.
+/// failed to decode, or a request without a sequence id.
 pub const ERR_BAD_FRAME: u16 = 1;
 /// Error code: the server is draining and rejects new ingest.
 pub const ERR_DRAINING: u16 = 2;
-/// Error code: the reply is too large for a single v1 frame (retry
-/// over protocol v2, which splits oversized replies into continuation
-/// frames).
+/// Error code: the reply exceeds [`MAX_REASSEMBLED_BYTES`], so even
+/// continuation frames cannot carry it.
 pub const ERR_OVERSIZED: u16 = 3;
 
-/// Counter changes since a connection's last delta cut (protocol v2).
+/// Counter changes since a connection's last delta cut.
 ///
 /// A [`Frame::DeltaReply`] carries, for every query the server answers,
 /// only the *change* since the same connection's previous
@@ -131,7 +135,7 @@ pub enum Frame {
     /// Ask for the full obsv registry snapshot (client→server).
     QueryMetricsSnapshot,
     /// Ask for the counters changed since this connection's last delta
-    /// cut (client→server, protocol v2).
+    /// cut (client→server).
     QueryDelta,
     /// Begin drain-then-shutdown (client→server).
     Shutdown,
@@ -165,12 +169,12 @@ pub enum Frame {
     /// Full obsv registry snapshot as JSON text (server→client).
     MetricsReply(String),
     /// Counters changed since the connection's last delta cut
-    /// (server→client, protocol v2).
+    /// (server→client).
     DeltaReply(DeltaCounts),
-    /// One continuation segment of a reply too large for a single
-    /// frame (protocol v2). Segments share the originating request's
-    /// sequence id and are reassembled by [`MessageAssembler`]; the
-    /// concatenated chunks decode as the payload of `inner_type`.
+    /// One continuation segment of a payload too large for a single
+    /// frame. Segments share the originating message's sequence id and
+    /// are reassembled by [`MessageAssembler`]; the concatenated chunks
+    /// decode as the payload of `inner_type`.
     Partial {
         /// Frame type the reassembled payload decodes as.
         inner_type: u8,
@@ -191,11 +195,12 @@ pub enum Frame {
     },
 }
 
-/// One decoded protocol message: the frame plus its v2 sequence id
-/// (`None` for v1 frames).
+/// One decoded protocol message: the frame plus its sequence id
+/// (`None` for a seq-less connection notice).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
-    /// v2 sequence id, echoed verbatim in the reply; `None` for v1.
+    /// Request sequence id, echoed verbatim in the reply; `None` for a
+    /// notice that answers no request.
     pub seq: Option<u32>,
     /// The frame itself.
     pub frame: Frame,
@@ -221,10 +226,9 @@ pub enum WireError {
     Malformed(&'static str),
     /// An ingest record failed to decode.
     BadRecord(ReadTraceError),
-    /// The frame's payload (the contained byte count) cannot fit the
-    /// protocol bounds: over [`MAX_FRAME_BYTES`] for a single v1
-    /// frame, or over [`MAX_REASSEMBLED_BYTES`] for a v2 continuation
-    /// run.
+    /// The payload (the contained byte count) is over
+    /// [`MAX_REASSEMBLED_BYTES`], or is a [`Frame::Partial`] too large
+    /// for one frame.
     Oversized(usize),
 }
 
@@ -407,13 +411,17 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// Writes one complete frame (length prefix, envelope, optional v2
-/// seq, payload bytes, CRC) to `out`. The payload must already fit one
-/// frame.
-fn encode_raw(version: u8, ftype: u8, seq: Option<u32>, payload: &[u8], out: &mut Vec<u8>) {
+/// Writes one complete frame (length prefix, envelope, `seq` when
+/// present, payload bytes, CRC) to `out`. The payload must already fit
+/// one frame.
+fn encode_raw(seq: Option<u32>, ftype: u8, payload: &[u8], out: &mut Vec<u8>) {
     let start = out.len();
     out.extend_from_slice(&[0, 0, 0, 0]); // length back-patched below
-    out.push(version);
+    out.push(if seq.is_some() {
+        PROTOCOL_V2
+    } else {
+        PROTOCOL_VERSION
+    });
     out.push(ftype);
     if let Some(seq) = seq {
         out.extend_from_slice(&seq.to_le_bytes());
@@ -429,54 +437,29 @@ fn encode_raw(version: u8, ftype: u8, seq: Option<u32>, payload: &[u8], out: &mu
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encodes `frame` as a single v1 frame into `out`.
+/// Encodes one message: sequence-tagged when `seq` is `Some` (every
+/// request and every reply to one), seq-less otherwise (connection
+/// notices). A payload too large for a single frame is split across
+/// [`Frame::Partial`] continuation frames sharing `seq`.
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`] when the payload cannot fit one frame
-/// (`out` is left untouched); a v2 [`encode_message`] splits such
-/// payloads across continuation frames instead.
-pub fn try_encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let mut payload = Vec::with_capacity(64);
-    encode_payload(frame, &mut payload);
-    if payload.len() + ENVELOPE_BYTES > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(payload.len()));
-    }
-    encode_raw(PROTOCOL_VERSION, frame_type(frame), None, &payload, out);
-    Ok(())
-}
-
-/// Encodes `frame` (length prefix, envelope, payload, CRC) into `out`.
-///
-/// # Panics
-///
-/// Panics when the encoded frame would exceed [`MAX_FRAME_BYTES`];
-/// use [`try_encode_frame`] (v1) or [`encode_message`] (v2, which
-/// splits) where oversized payloads are reachable.
-pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    try_encode_frame(frame, out).expect("encoded frame exceeds MAX_FRAME_BYTES");
-}
-
-/// Encodes one message: v1 when `seq` is `None`, v2 (sequence-tagged)
-/// otherwise. A v2 payload too large for a single frame is split
-/// across [`Frame::Partial`] continuation frames sharing `seq`.
-///
-/// # Errors
-///
-/// [`WireError::Oversized`] for a v1 payload over [`MAX_FRAME_BYTES`],
-/// for a v2 payload over [`MAX_REASSEMBLED_BYTES`], or when `frame` is
-/// itself a [`Frame::Partial`] too large for one frame (continuations
-/// do not nest). `out` is left unchanged on error.
+/// [`WireError::Oversized`] for a payload over
+/// [`MAX_REASSEMBLED_BYTES`], or when `frame` is itself a
+/// [`Frame::Partial`] too large for one frame (continuations do not
+/// nest). `out` is left unchanged on error.
 pub fn encode_message(seq: Option<u32>, frame: &Frame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let Some(seq) = seq else {
-        return try_encode_frame(frame, out);
-    };
     let mut payload = Vec::with_capacity(64);
     encode_payload(frame, &mut payload);
     let ftype = frame_type(frame);
-    let max_payload = MAX_FRAME_BYTES - ENVELOPE_V2_BYTES;
+    let envelope = if seq.is_some() {
+        ENVELOPE_V2_BYTES
+    } else {
+        ENVELOPE_BYTES
+    };
+    let max_payload = MAX_FRAME_BYTES - envelope;
     if payload.len() <= max_payload {
-        encode_raw(PROTOCOL_V2, ftype, Some(seq), &payload, out);
+        encode_raw(seq, ftype, &payload, out);
         return Ok(());
     }
     if payload.len() > MAX_REASSEMBLED_BYTES || ftype == T_PARTIAL {
@@ -492,29 +475,12 @@ pub fn encode_message(seq: Option<u32>, frame: &Frame, out: &mut Vec<u8>) -> Res
         partial.push(ftype);
         partial.push(u8::from(i == last_index));
         partial.extend_from_slice(chunk);
-        encode_raw(PROTOCOL_V2, T_PARTIAL, Some(seq), &partial, out);
+        encode_raw(seq, T_PARTIAL, &partial, out);
     }
     Ok(())
 }
 
-/// Encodes and writes one frame to `writer`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-///
-/// # Panics
-///
-/// Panics when the frame exceeds [`MAX_FRAME_BYTES`] (see
-/// [`encode_frame`]).
-pub fn write_frame<W: Write>(mut writer: W, frame: &Frame) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(frame, &mut buf);
-    writer.write_all(&buf)
-}
-
-/// Encodes and writes one message (v1 or v2, see [`encode_message`])
-/// to `writer`.
+/// Encodes and writes one message (see [`encode_message`]) to `writer`.
 ///
 /// # Errors
 ///
@@ -682,7 +648,7 @@ fn decode_payload(ftype: u8, payload: &[u8]) -> Result<Frame, WireError> {
 
 fn decode_body(body: &[u8]) -> Result<Message, WireError> {
     // body = version + type [+ seq] + payload + crc; length validated
-    // to at least the v1 envelope.
+    // to at least the seq-less envelope.
     let crc_off = body.len() - 4;
     let expect = u32::from_le_bytes(body[crc_off..].try_into().expect("4B crc"));
     if crc32(&body[..crc_off]) != expect {
@@ -692,7 +658,7 @@ fn decode_body(body: &[u8]) -> Result<Message, WireError> {
         PROTOCOL_VERSION => (None, &body[2..crc_off]),
         PROTOCOL_V2 => {
             if body.len() < ENVELOPE_V2_BYTES {
-                return Err(WireError::Malformed("v2 envelope short"));
+                return Err(WireError::Malformed("sequence-tagged envelope short"));
             }
             (Some(u32_at(body, 2)), &body[6..crc_off])
         }
@@ -703,26 +669,21 @@ fn decode_body(body: &[u8]) -> Result<Message, WireError> {
 }
 
 /// Incremental frame parser: feed it raw bytes as they arrive, pull
-/// complete frames out.
+/// complete frames out. Private to [`MessageAssembler`], which adds
+/// continuation reassembly on top.
 ///
-/// This is the only decode path — the blocking [`read_frame`] and the
-/// continuation-reassembling [`MessageAssembler`] are built on it — so
-/// the property tests that throw corrupt, truncated, and oversized
-/// byte streams at the assembler cover the server's decoder exactly.
+/// This is the only decode path, so the property tests that throw
+/// corrupt, truncated, and oversized byte streams at the message
+/// assembler cover the server's decoder exactly.
 #[derive(Debug, Default)]
-pub struct FrameAssembler {
+struct FrameAssembler {
     buf: Vec<u8>,
     consumed: usize,
 }
 
 impl FrameAssembler {
-    /// Creates an empty assembler.
-    pub fn new() -> Self {
-        FrameAssembler::default()
-    }
-
     /// Appends raw bytes received from the transport.
-    pub fn push_bytes(&mut self, bytes: &[u8]) {
+    fn push_bytes(&mut self, bytes: &[u8]) {
         // Compact lazily: drop consumed bytes before growing.
         if self.consumed > 0 {
             self.buf.drain(..self.consumed);
@@ -731,21 +692,20 @@ impl FrameAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// True when no partial frame is buffered (safe point to close an
-    /// idle connection).
-    pub fn is_idle(&self) -> bool {
+    /// True when no partial frame is buffered.
+    fn is_idle(&self) -> bool {
         self.buf.len() == self.consumed
     }
 
-    /// Extracts the next complete message (frame plus v2 sequence id),
-    /// `Ok(None)` if more bytes are needed.
+    /// Extracts the next complete frame with its sequence id, `Ok(None)`
+    /// if more bytes are needed.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] when the buffered bytes cannot be a
     /// valid frame; the connection should be torn down (the stream
     /// offset can no longer be trusted).
-    pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
+    fn next_message(&mut self) -> Result<Option<Message>, WireError> {
         let pending = &self.buf[self.consumed..];
         if pending.len() < 4 {
             return Ok(None);
@@ -762,23 +722,12 @@ impl FrameAssembler {
         self.consumed += 4 + len as usize;
         Ok(Some(message))
     }
-
-    /// Extracts the next complete frame, `Ok(None)` if more bytes are
-    /// needed. The v2 sequence id, if any, is discarded — use
-    /// [`next_message`](Self::next_message) where it matters.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`next_message`](Self::next_message).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        Ok(self.next_message()?.map(|m| m.frame))
-    }
 }
 
-/// Message parser with continuation reassembly: a [`FrameAssembler`]
-/// that additionally collects runs of [`Frame::Partial`] continuation
-/// frames (same sequence id) back into the single oversized frame they
-/// carry.
+/// Incremental message parser: feed it raw bytes as they arrive, pull
+/// complete messages out. Runs of [`Frame::Partial`] continuation
+/// frames (same sequence id) are collected back into the single
+/// oversized frame they carry.
 ///
 /// Hostile-input bounds: a continuation run may reassemble at most
 /// [`MAX_REASSEMBLED_BYTES`]; a run interrupted by a different frame,
@@ -818,7 +767,7 @@ impl MessageAssembler {
     ///
     /// # Errors
     ///
-    /// Any [`FrameAssembler`] error, plus [`WireError::Oversized`] for
+    /// Any frame decode error, plus [`WireError::Oversized`] for
     /// a continuation run past [`MAX_REASSEMBLED_BYTES`] and
     /// [`WireError::Malformed`] for an interrupted or inconsistent run.
     /// All errors mean the stream can no longer be trusted.
@@ -877,52 +826,10 @@ impl MessageAssembler {
     }
 }
 
-/// Reads one complete frame from a blocking reader.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] if the stream ends cleanly mid-frame (or
-/// before one starts); any other [`WireError`] as produced by the
-/// decoder.
-pub fn read_frame<R: Read>(mut reader: R) -> Result<Frame, WireError> {
-    let mut asm = FrameAssembler::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = asm.next_frame()? {
-            return Ok(frame);
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return Err(WireError::Truncated),
-            Ok(n) => asm.push_bytes(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-}
-
-/// Reads one complete message from a blocking reader, reassembling
-/// continuation frames.
-///
-/// Only safe on strictly half-duplex exchanges (one reply in flight):
-/// the assembler is local to the call, so any bytes read past the
-/// first message — e.g. several pipelined replies sharing one TCP
-/// segment — are **discarded** when it returns. Pipelined readers must
-/// hold a [`MessageReader`] instead.
-///
-/// # Errors
-///
-/// Same contract as [`read_frame`], plus the reassembly errors of
-/// [`MessageAssembler::next_message`].
-pub fn read_message<R: Read>(mut reader: R) -> Result<Message, WireError> {
-    MessageReader::new().next_from(reader.by_ref())
-}
-
 /// Blocking message reader that keeps its [`MessageAssembler`] across
 /// calls, so replies buffered past the one being returned survive for
-/// the next call. This is the read side a **pipelined** client needs:
-/// with several requests in flight, the kernel routinely delivers many
-/// small replies in one `read`, and the one-shot [`read_message`]
-/// would silently drop all but the first.
+/// the next call: with several requests in flight, the kernel routinely
+/// delivers many small replies in one `read`. Hold one per connection.
 #[derive(Debug, Default)]
 pub struct MessageReader {
     asm: MessageAssembler,
@@ -939,7 +846,10 @@ impl MessageReader {
     ///
     /// # Errors
     ///
-    /// Same contract as [`read_message`].
+    /// [`WireError::Truncated`] if the stream ends cleanly mid-frame (or
+    /// before one starts), [`WireError::Io`] for a transport failure,
+    /// and any decode or reassembly error of
+    /// [`MessageAssembler::next_message`].
     pub fn next_from<R: Read>(&mut self, mut reader: R) -> Result<Message, WireError> {
         let mut chunk = [0u8; 4096];
         loop {
@@ -971,17 +881,23 @@ mod tests {
     #[test]
     fn assembler_handles_split_delivery() {
         let mut bytes = Vec::new();
-        encode_frame(&Frame::QueryCoverage, &mut bytes);
-        encode_frame(&Frame::IngestAck(7), &mut bytes);
-        let mut asm = FrameAssembler::new();
+        encode_message(Some(1), &Frame::QueryCoverage, &mut bytes).unwrap();
+        encode_message(Some(2), &Frame::IngestAck(7), &mut bytes).unwrap();
+        let mut asm = MessageAssembler::new();
         let mut got = Vec::new();
         for b in &bytes {
             asm.push_bytes(std::slice::from_ref(b));
-            while let Some(f) = asm.next_frame().unwrap() {
-                got.push(f);
+            while let Some(m) = asm.next_message().unwrap() {
+                got.push((m.seq, m.frame));
             }
         }
-        assert_eq!(got, vec![Frame::QueryCoverage, Frame::IngestAck(7)]);
+        assert_eq!(
+            got,
+            vec![
+                (Some(1), Frame::QueryCoverage),
+                (Some(2), Frame::IngestAck(7))
+            ]
+        );
         assert!(asm.is_idle());
     }
 
@@ -1000,8 +916,7 @@ mod tests {
     #[test]
     fn message_reader_keeps_replies_coalesced_into_one_read() {
         // Pipelined regression: many small replies arrive in one TCP
-        // segment. The persistent reader must yield every one; the
-        // one-shot read_message by design only yields the first.
+        // segment, and the persistent reader must yield every one.
         let mut bytes = Vec::new();
         for seq in 0..5u32 {
             encode_message(Some(seq), &Frame::IngestAck(seq), &mut bytes).unwrap();
@@ -1021,9 +936,11 @@ mod tests {
 
     #[test]
     fn oversized_v1_frame_is_an_error_not_a_panic() {
-        let big = Frame::MetricsReply("x".repeat(MAX_FRAME_BYTES + 1));
+        // A seq-less (version-1 envelope) payload splits like a tagged
+        // one, so only one past the reassembly cap fails to encode.
+        let big = Frame::MetricsReply("x".repeat(MAX_REASSEMBLED_BYTES + 1));
         let mut out = Vec::new();
-        match try_encode_frame(&big, &mut out) {
+        match encode_message(None, &big, &mut out) {
             Err(WireError::Oversized(_)) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }

@@ -16,7 +16,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use tempstream_serve::wire::{read_frame, write_frame, Frame};
+use tempstream_serve::wire::{write_message, Frame, MessageReader};
 use tempstream_serve::{Server, ServerConfig};
 
 #[test]
@@ -29,11 +29,10 @@ fn listener_error_still_drains_and_returns() {
 
     // Prove the server is live before pulling the rug.
     let mut conn = TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut conn, &Frame::QueryCoverage).expect("send");
-    assert!(matches!(
-        read_frame(&mut conn).expect("recv"),
-        Frame::CoverageReply { .. }
-    ));
+    write_message(&mut conn, Some(1), &Frame::QueryCoverage).expect("send");
+    let reply = MessageReader::new().next_from(&mut conn).expect("recv");
+    assert_eq!(reply.seq, Some(1));
+    assert!(matches!(reply.frame, Frame::CoverageReply { .. }));
     drop(conn);
 
     // Break the listener, then pop the accept the acceptor is already

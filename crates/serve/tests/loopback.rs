@@ -9,8 +9,8 @@ use std::thread;
 use tempstream_serve::offline;
 use tempstream_serve::shard::{shard_of, ShardConfig};
 use tempstream_serve::wire::{
-    read_frame, read_message, write_frame, write_message, DeltaCounts, Frame, MessageReader,
-    ERR_BAD_FRAME, ERR_DRAINING, ERR_OVERSIZED, MAX_FRAME_BYTES,
+    write_message, DeltaCounts, Frame, Message, MessageReader, WireError, ERR_BAD_FRAME,
+    ERR_DRAINING, MAX_FRAME_BYTES,
 };
 use tempstream_serve::{Server, ServerConfig};
 use tempstream_trace::miss::MissRecord;
@@ -40,15 +40,56 @@ fn start_server(config: ServerConfig) -> (String, thread::JoinHandle<std::io::Re
     (addr, handle)
 }
 
-fn call(stream: &mut TcpStream, request: &Frame) -> Frame {
-    write_frame(&mut *stream, request).expect("send");
-    read_frame(&mut *stream).expect("recv")
+/// One client connection: every request carries the next sequence id,
+/// and replies are read through one persistent [`MessageReader`].
+struct Client {
+    stream: TcpStream,
+    reader: MessageReader,
+    next_seq: u32,
 }
 
-fn ingest_all(stream: &mut TcpStream, records: &[MissRecord<MissClass>], batch: usize) {
+impl Client {
+    fn connect(addr: &str) -> Client {
+        Client {
+            stream: TcpStream::connect(addr).expect("connect"),
+            reader: MessageReader::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Sends `request` under a fresh sequence id and returns that id.
+    fn send(&mut self, request: &Frame) -> Result<u32, WireError> {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        write_message(&mut self.stream, Some(seq), request)?;
+        Ok(seq)
+    }
+
+    fn recv(&mut self) -> Result<Message, WireError> {
+        self.reader.next_from(&mut self.stream)
+    }
+}
+
+/// Reads the one seq-less notice a server sends on a connection it
+/// answers without a request.
+fn read_notice(stream: &mut TcpStream) -> Frame {
+    let notice = MessageReader::new().next_from(stream).expect("notice");
+    assert_eq!(notice.seq, None, "notices answer no request");
+    notice.frame
+}
+
+/// One request/reply round trip; asserts the reply echoes the seq.
+fn call(conn: &mut Client, request: &Frame) -> Frame {
+    let seq = conn.send(request).expect("send");
+    let reply = conn.recv().expect("recv");
+    assert_eq!(reply.seq, Some(seq), "reply must echo the request seq");
+    reply.frame
+}
+
+fn ingest_all(conn: &mut Client, records: &[MissRecord<MissClass>], batch: usize) {
     for chunk in records.chunks(batch) {
         loop {
-            match call(stream, &Frame::Ingest(chunk.to_vec())) {
+            match call(conn, &Frame::Ingest(chunk.to_vec())) {
                 Frame::IngestAck(n) => {
                     assert_eq!(n as usize, chunk.len());
                     break;
@@ -60,8 +101,8 @@ fn ingest_all(stream: &mut TcpStream, records: &[MissRecord<MissClass>], batch: 
     }
 }
 
-fn shutdown(stream: &mut TcpStream) {
-    assert_eq!(call(stream, &Frame::Shutdown), Frame::ShutdownAck);
+fn shutdown(conn: &mut Client) {
+    assert_eq!(call(conn, &Frame::Shutdown), Frame::ShutdownAck);
 }
 
 #[test]
@@ -73,7 +114,7 @@ fn online_answers_match_offline_batch_across_shard_counts() {
             ..ServerConfig::default()
         };
         let (addr, handle) = start_server(config);
-        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let mut conn = Client::connect(&addr);
         ingest_all(&mut conn, &records, 128);
 
         let want = offline::expected(&records, shards, ShardConfig::default(), 8);
@@ -126,7 +167,7 @@ fn online_answers_match_offline_batch_across_shard_counts() {
 fn one_shard_server_equals_whole_trace_batch_analysis() {
     let records = seeded_records(0x5eed, 1200);
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     ingest_all(&mut conn, &records, 200);
 
     let num_cpus = records.iter().map(|r| r.cpu.raw()).max().unwrap_or(0) + 1;
@@ -156,7 +197,7 @@ fn queries_reflect_every_acked_record_mid_stream() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     // Interleave ingest and queries: after each prefix, the answer
     // must equal the offline result for exactly that prefix
     // (read-your-writes + SEQUITUR's online property). The comparator
@@ -224,8 +265,8 @@ fn malformed_bytes_get_an_error_frame_then_close() {
     // A hostile length prefix followed by garbage.
     conn.write_all(&u32::MAX.to_le_bytes()).expect("send");
     conn.write_all(&[0xAA; 32]).expect("send");
-    match read_frame(&mut conn) {
-        Ok(Frame::Error { code, message }) => {
+    match read_notice(&mut conn) {
+        Frame::Error { code, message } => {
             assert_eq!(code, ERR_BAD_FRAME);
             assert!(!message.is_empty());
         }
@@ -237,7 +278,39 @@ fn malformed_bytes_get_an_error_frame_then_close() {
     assert!(rest.is_empty(), "no bytes after the error frame");
 
     // The server survives; a fresh connection works.
-    let mut conn2 = TcpStream::connect(&addr).expect("reconnect");
+    let mut conn2 = Client::connect(&addr);
+    assert!(matches!(
+        call(&mut conn2, &Frame::QueryCoverage),
+        Frame::CoverageReply { total: 0, .. }
+    ));
+    shutdown(&mut conn2);
+    handle.join().expect("server thread").expect("server run");
+}
+
+/// Every request carries a sequence id; a seq-less one is answered
+/// with a seq-less `Error{ERR_BAD_FRAME}` and the connection closes,
+/// while the server keeps serving fresh connections.
+#[test]
+fn seq_less_request_gets_bad_frame_then_close() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    write_message(&mut conn, None, &Frame::QueryCoverage).expect("send");
+    let mut reader = MessageReader::new();
+    let notice = reader.next_from(&mut conn).expect("error notice");
+    assert_eq!(notice.seq, None);
+    match notice.frame {
+        Frame::Error { code, message } => {
+            assert_eq!(code, ERR_BAD_FRAME);
+            assert!(message.contains("sequence id"), "{message}");
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    assert!(
+        matches!(reader.next_from(&mut conn), Err(WireError::Truncated)),
+        "the server closes after the error"
+    );
+
+    let mut conn2 = Client::connect(&addr);
     assert!(matches!(
         call(&mut conn2, &Frame::QueryCoverage),
         Frame::CoverageReply { total: 0, .. }
@@ -249,12 +322,12 @@ fn malformed_bytes_get_an_error_frame_then_close() {
 #[test]
 fn reply_direction_frame_is_rejected() {
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     match call(&mut conn, &Frame::IngestAck(1)) {
         Frame::Error { code, .. } => assert_eq!(code, ERR_BAD_FRAME),
         other => panic!("expected error frame, got {other:?}"),
     }
-    let mut conn2 = TcpStream::connect(&addr).expect("reconnect");
+    let mut conn2 = Client::connect(&addr);
     shutdown(&mut conn2);
     handle.join().expect("server thread").expect("server run");
 }
@@ -266,14 +339,14 @@ fn connection_admission_rejects_excess_with_busy() {
         ..ServerConfig::default()
     });
     // First connection occupies the only lane...
-    let mut held = TcpStream::connect(&addr).expect("connect");
+    let mut held = Client::connect(&addr);
     assert!(matches!(
         call(&mut held, &Frame::QueryCoverage),
         Frame::CoverageReply { .. }
     ));
     // ...so the second is turned away with Busy and closed.
     let mut rejected = TcpStream::connect(&addr).expect("connect");
-    assert_eq!(read_frame(&mut rejected).expect("busy frame"), Frame::Busy);
+    assert_eq!(read_notice(&mut rejected), Frame::Busy);
     drop(rejected);
 
     // Releasing the lane admits a new connection (poll until the
@@ -281,8 +354,8 @@ fn connection_admission_rejects_excess_with_busy() {
     drop(held);
     let mut last = None;
     for _ in 0..200 {
-        let mut conn = TcpStream::connect(&addr).expect("connect");
-        match read_frame_or_query(&mut conn) {
+        let mut conn = Client::connect(&addr);
+        match query_if_admitted(&mut conn) {
             Ok(frame) => {
                 last = Some((conn, frame));
                 break;
@@ -298,30 +371,28 @@ fn connection_admission_rejects_excess_with_busy() {
 
 /// Sends a coverage query; `Err(())` if the server answered `Busy`
 /// (admission still exhausted) or closed the connection.
-fn read_frame_or_query(conn: &mut TcpStream) -> Result<Frame, ()> {
-    write_frame(&mut *conn, &Frame::QueryCoverage).map_err(|_| ())?;
-    match read_frame(&mut *conn) {
-        Ok(Frame::Busy) | Err(_) => Err(()),
-        Ok(frame) => Ok(frame),
+fn query_if_admitted(conn: &mut Client) -> Result<Frame, ()> {
+    let seq = conn.send(&Frame::QueryCoverage).map_err(|_| ())?;
+    match conn.recv() {
+        Ok(Message {
+            frame: Frame::Busy, ..
+        })
+        | Err(_) => Err(()),
+        Ok(reply) => {
+            assert_eq!(reply.seq, Some(seq), "reply must echo the request seq");
+            Ok(reply.frame)
+        }
     }
 }
 
-// --- protocol v2: pipelining + incremental deltas -------------------------
+// --- pipelining + incremental deltas --------------------------------------
 
 fn signed(n: u64) -> i64 {
     i64::try_from(n).expect("count fits i64")
 }
 
-/// One v2 request/reply round trip; asserts the reply echoes `seq`.
-fn call_v2(stream: &mut TcpStream, seq: u32, request: &Frame) -> Frame {
-    write_message(&mut *stream, Some(seq), request).expect("send v2");
-    let msg = read_message(&mut *stream).expect("recv v2");
-    assert_eq!(msg.seq, Some(seq), "reply must echo the request seq");
-    msg.frame
-}
-
-fn query_delta(stream: &mut TcpStream, seq: u32) -> DeltaCounts {
-    match call_v2(stream, seq, &Frame::QueryDelta) {
+fn query_delta(conn: &mut Client) -> DeltaCounts {
+    match call(conn, &Frame::QueryDelta) {
         Frame::DeltaReply(delta) => delta,
         other => panic!("unexpected delta reply: {other:?}"),
     }
@@ -358,104 +429,81 @@ impl DeltaAcc {
     }
 }
 
-/// Pipelines `records` over protocol v2 with up to `window` requests in
-/// flight, interleaving a `QueryDelta` every `delta_every` acks.
-/// Returns the records in ack (= admission) order plus the accumulated
-/// deltas, with the final delta already absorbed so the telescoped sums
-/// cover the whole ingest.
+/// Pipelines `records` with up to `window` requests in flight,
+/// interleaving a `QueryDelta` every `delta_every` acks. Returns the
+/// records in ack (= admission) order plus the accumulated deltas, with
+/// the final delta already absorbed so the telescoped sums cover the
+/// whole ingest.
 fn ingest_pipelined(
-    conn: &mut TcpStream,
+    conn: &mut Client,
     records: &[MissRecord<MissClass>],
     batch: usize,
     window: usize,
     delta_every: usize,
 ) -> (Vec<MissRecord<MissClass>>, DeltaAcc) {
     enum Slot {
-        Ingest(u32, usize),
-        Delta(u32),
-    }
-    impl Slot {
-        fn seq(&self) -> u32 {
-            match *self {
-                Slot::Ingest(seq, _) | Slot::Delta(seq) => seq,
-            }
-        }
+        Ingest(usize),
+        Delta,
     }
     let batches: Vec<&[MissRecord<MissClass>]> = records.chunks(batch).collect();
-    // Pipelined replies coalesce into shared TCP segments; a one-shot
-    // read_message would drop the extras, so hold a persistent reader.
-    let mut reader = MessageReader::new();
     let mut pending: VecDeque<usize> = (0..batches.len()).collect();
-    let mut inflight: VecDeque<Slot> = VecDeque::new();
+    let mut inflight: VecDeque<(u32, Slot)> = VecDeque::new();
     let mut acc = DeltaAcc::default();
     let mut acked: Vec<usize> = Vec::new();
-    let mut seq: u32 = 0;
     let mut acks_since_delta = 0usize;
-    let next_seq = |slot: &mut u32| {
-        let s = *slot;
-        *slot = slot.wrapping_add(1);
-        s
-    };
     loop {
         // Fill the window, preferring a due delta probe over new ingest
         // so the cursor advances mid-stream, not just at the end.
         while inflight.len() < window {
             if acks_since_delta >= delta_every {
                 acks_since_delta = 0;
-                let s = next_seq(&mut seq);
-                write_message(&mut *conn, Some(s), &Frame::QueryDelta).expect("send delta");
-                inflight.push_back(Slot::Delta(s));
+                let seq = conn.send(&Frame::QueryDelta).expect("send delta");
+                inflight.push_back((seq, Slot::Delta));
             } else if let Some(idx) = pending.pop_front() {
-                let s = next_seq(&mut seq);
-                write_message(&mut *conn, Some(s), &Frame::Ingest(batches[idx].to_vec()))
+                let seq = conn
+                    .send(&Frame::Ingest(batches[idx].to_vec()))
                     .expect("send ingest");
-                inflight.push_back(Slot::Ingest(s, idx));
+                inflight.push_back((seq, Slot::Ingest(idx)));
             } else {
                 break;
             }
         }
-        let Some(slot) = inflight.pop_front() else {
+        let Some((seq, slot)) = inflight.pop_front() else {
             break;
         };
-        let msg = reader.next_from(&mut *conn).expect("pipelined reply");
+        // Pipelined replies coalesce into shared TCP segments; the
+        // client's persistent reader keeps the extras for later calls.
+        let msg = conn.recv().expect("pipelined reply");
         assert_eq!(
             msg.seq,
-            Some(slot.seq()),
+            Some(seq),
             "replies come back in FIFO request order: {:?}",
             msg.frame
         );
         match (slot, msg.frame) {
-            (Slot::Ingest(_, idx), Frame::IngestAck(n)) => {
+            (Slot::Ingest(idx), Frame::IngestAck(n)) => {
                 assert_eq!(n as usize, batches[idx].len());
                 acked.push(idx);
                 acks_since_delta += 1;
             }
-            (Slot::Ingest(_, idx), Frame::Busy) => {
+            (Slot::Ingest(idx), Frame::Busy) => {
                 // Router admission is full: re-queue and back off.
                 pending.push_front(idx);
                 thread::sleep(std::time::Duration::from_millis(1));
             }
-            (Slot::Delta(_), Frame::DeltaReply(delta)) => acc.absorb(&delta),
+            (Slot::Delta, Frame::DeltaReply(delta)) => acc.absorb(&delta),
             (slot, other) => {
                 let what = match slot {
-                    Slot::Ingest(..) => "ingest",
-                    Slot::Delta(_) => "delta",
+                    Slot::Ingest(_) => "ingest",
+                    Slot::Delta => "delta",
                 };
                 panic!("unexpected {what} reply: {other:?}");
             }
         }
     }
     // Close the telescope: one final delta covers everything acked
-    // after the last interleaved probe (read through the same
-    // persistent reader in case it still buffers bytes).
-    let final_seq = next_seq(&mut seq);
-    write_message(&mut *conn, Some(final_seq), &Frame::QueryDelta).expect("send final delta");
-    let msg = reader.next_from(&mut *conn).expect("final delta");
-    assert_eq!(msg.seq, Some(final_seq));
-    match msg.frame {
-        Frame::DeltaReply(delta) => acc.absorb(&delta),
-        other => panic!("unexpected final delta reply: {other:?}"),
-    }
+    // after the last interleaved probe.
+    acc.absorb(&query_delta(conn));
     let effective = acked
         .iter()
         .flat_map(|&idx| batches[idx].iter().copied())
@@ -471,7 +519,7 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
             shards,
             ..ServerConfig::default()
         });
-        let mut conn = TcpStream::connect(&addr).expect("connect");
+        let mut conn = Client::connect(&addr);
         let (effective, acc) = ingest_pipelined(&mut conn, &records, 128, 8, 5);
         assert_eq!(effective.len(), records.len(), "shards={shards}");
         assert_eq!(acc.applied, records.len() as u64, "shards={shards}");
@@ -481,8 +529,8 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
         // reconstructing it keeps the check honest).
         let want = offline::expected(&effective, shards, ShardConfig::default(), 8);
 
-        // Absolute v1 queries still work on the same connection, and
-        // the telescoped delta sums equal those absolutes exactly.
+        // Absolute queries work on the same connection, and the
+        // telescoped delta sums equal those absolutes exactly.
         match call(&mut conn, &Frame::QueryStreamFraction) {
             Frame::StreamFractionReply {
                 non_repetitive,
@@ -553,7 +601,7 @@ fn pipelined_and_delta_answers_match_offline_across_shard_counts() {
 
         // A quiescent connection's next delta is empty, at the same
         // watermark — the version fast path, observable as a no-op.
-        let quiet = query_delta(&mut conn, 0xFFFF);
+        let quiet = query_delta(&mut conn);
         assert!(quiet.is_empty(), "shards={shards}: {quiet:?}");
         assert_eq!(quiet.applied, records.len() as u64, "shards={shards}");
 
@@ -569,8 +617,8 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn1 = TcpStream::connect(&addr).expect("connect 1");
-    let mut conn2 = TcpStream::connect(&addr).expect("connect 2");
+    let mut conn1 = Client::connect(&addr);
+    let mut conn2 = Client::connect(&addr);
 
     ingest_all(&mut conn1, &records[..500], 100);
     // One comparator, snapshot at each cut — the 500-record prefix is
@@ -583,7 +631,7 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
 
     // First delta on each connection is absolute (fresh cursor), and
     // both connections see the same consistent cut.
-    let d1a = query_delta(&mut conn1, 1);
+    let d1a = query_delta(&mut conn1);
     assert_eq!(d1a.applied, 500);
     assert_eq!(d1a.non_repetitive, signed(want500.streams.non_repetitive));
     assert_eq!(
@@ -591,14 +639,14 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         signed(want500.streams.distinct_streams)
     );
     assert_eq!(d1a.total, signed(want500.coverage.total));
-    let d2a = query_delta(&mut conn2, 1);
+    let d2a = query_delta(&mut conn2);
     assert_eq!(d2a, d1a, "independent cursors over the same cut agree");
 
     ingest_all(&mut conn1, &records[500..], 100);
 
     // Second delta carries only the change since each cursor's cut —
     // exactly the difference of the offline prefix answers.
-    let d1b = query_delta(&mut conn1, 2);
+    let d1b = query_delta(&mut conn1);
     assert_eq!(d1b.applied, 1000);
     assert_eq!(
         d1b.non_repetitive,
@@ -612,12 +660,12 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
         d1b.covered,
         signed(want1000.coverage.covered) - signed(want500.coverage.covered)
     );
-    let d2b = query_delta(&mut conn2, 2);
+    let d2b = query_delta(&mut conn2);
     assert_eq!(d2b, d1b, "same cursor position, same diff");
 
     // A connection opened late still gets the full absolute picture.
-    let mut conn3 = TcpStream::connect(&addr).expect("connect 3");
-    let d3 = query_delta(&mut conn3, 1);
+    let mut conn3 = Client::connect(&addr);
+    let d3 = query_delta(&mut conn3);
     assert_eq!(d3.applied, 1000);
     assert_eq!(d3.non_repetitive, signed(want1000.streams.non_repetitive));
     assert_eq!(d3.issued, signed(want1000.coverage.issued));
@@ -629,12 +677,11 @@ fn delta_cursors_are_per_connection_and_carry_only_changes() {
 // --- satellite regressions ------------------------------------------------
 
 /// Satellite 1: a metrics registry whose JSON exceeds the 1 MiB frame
-/// cap used to trip `encode_frame`'s assert and kill the connection
-/// thread. Now: v1 clients get `Error{ERR_OVERSIZED}` on a surviving
-/// connection; v2 clients get the full snapshot across continuation
-/// frames.
+/// cap used to trip an encoder assert and kill the connection thread.
+/// Now the full snapshot arrives across continuation frames, and the
+/// same connection keeps working afterwards.
 #[test]
-fn oversized_metrics_snapshot_errors_on_v1_and_chunks_on_v2() {
+fn oversized_metrics_snapshot_chunks_and_connection_survives() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let server = Server::from_listener(listener, ServerConfig::default());
@@ -649,29 +696,8 @@ fn oversized_metrics_snapshot_errors_on_v1_and_chunks_on_v2() {
     }
     let handle = thread::spawn(move || server.run());
 
-    // v1: the reply is substituted with an error frame, and the same
-    // connection keeps working afterwards.
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     match call(&mut conn, &Frame::QueryMetricsSnapshot) {
-        Frame::Error { code, message } => {
-            assert_eq!(code, ERR_OVERSIZED);
-            assert!(
-                message.contains("v2"),
-                "error should point at v2: {message}"
-            );
-        }
-        other => panic!("expected oversized error, got {other:?}"),
-    }
-    assert!(
-        matches!(
-            call(&mut conn, &Frame::QueryCoverage),
-            Frame::CoverageReply { .. }
-        ),
-        "connection survives an oversized reply"
-    );
-
-    // v2: the snapshot arrives whole, reassembled from continuations.
-    match call_v2(&mut conn, 7, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
             assert!(
                 json.len() > MAX_FRAME_BYTES,
@@ -685,6 +711,13 @@ fn oversized_metrics_snapshot_errors_on_v1_and_chunks_on_v2() {
         }
         other => panic!("expected metrics reply, got {other:?}"),
     }
+    assert!(
+        matches!(
+            call(&mut conn, &Frame::QueryCoverage),
+            Frame::CoverageReply { .. }
+        ),
+        "connection survives an oversized reply"
+    );
 
     shutdown(&mut conn);
     handle.join().expect("server thread").expect("server run");
@@ -703,10 +736,10 @@ fn panicking_connection_handler_frees_its_slot() {
     });
     // The first connection trips the injected panic on its first frame;
     // the server drops the connection without a reply.
-    let mut victim = TcpStream::connect(&addr).expect("connect");
-    write_frame(&mut victim, &Frame::QueryCoverage).expect("send");
+    let mut victim = Client::connect(&addr);
+    victim.send(&Frame::QueryCoverage).expect("send");
     assert!(
-        read_frame(&mut victim).is_err(),
+        victim.recv().is_err(),
         "panicked handler closes the connection unanswered"
     );
     drop(victim);
@@ -715,8 +748,8 @@ fn panicking_connection_handler_frees_its_slot() {
     // admitted and answered (pre-fix this loops to exhaustion).
     let mut last = None;
     for _ in 0..200 {
-        let mut conn = TcpStream::connect(&addr).expect("connect");
-        match read_frame_or_query(&mut conn) {
+        let mut conn = Client::connect(&addr);
+        match query_if_admitted(&mut conn) {
             Ok(frame) => {
                 last = Some((conn, frame));
                 break;
@@ -745,7 +778,7 @@ fn late_client_racing_the_drain_is_answered_not_ghosted() {
         fault_accept_hold_ms: 100,
         ..ServerConfig::default()
     });
-    let mut controller = TcpStream::connect(&addr).expect("connect");
+    let mut controller = Client::connect(&addr);
     assert!(matches!(
         call(&mut controller, &Frame::QueryCoverage),
         Frame::CoverageReply { .. }
@@ -754,18 +787,17 @@ fn late_client_racing_the_drain_is_answered_not_ghosted() {
     // the blocked accept), then the acceptor sleeps before looping.
     let _opener = TcpStream::connect(&addr).expect("connect opener");
     // Inside the hold window: start the drain, then race a connect in.
-    write_frame(&mut controller, &Frame::Shutdown).expect("send shutdown");
+    let shutdown_seq = controller.send(&Frame::Shutdown).expect("send shutdown");
     let mut late = TcpStream::connect(&addr).expect("late connect");
     late.set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("timeout");
-    match read_frame(&mut late).expect("late client gets an answer") {
+    match read_notice(&mut late) {
         Frame::Error { code, .. } => assert_eq!(code, ERR_DRAINING),
         other => panic!("expected draining error, got {other:?}"),
     }
-    assert_eq!(
-        read_frame(&mut controller).expect("ack"),
-        Frame::ShutdownAck
-    );
+    let ack = controller.recv().expect("ack");
+    assert_eq!(ack.seq, Some(shutdown_seq));
+    assert_eq!(ack.frame, Frame::ShutdownAck);
     handle.join().expect("server thread").expect("server run");
 }
 
@@ -779,7 +811,7 @@ fn metrics_snapshot_gauges_sit_on_the_query_cut() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     ingest_all(&mut conn, &records, 100);
     match call(&mut conn, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
@@ -807,7 +839,7 @@ fn metrics_snapshot_gauges_sit_on_the_query_cut() {
 
 /// Reads the grammar-walk gauge off a metrics snapshot: how many times
 /// any shard actually re-walked its grammar for `StreamCounts`.
-fn grammar_walks(conn: &mut TcpStream) -> u64 {
+fn grammar_walks(conn: &mut Client) -> u64 {
     match call(conn, &Frame::QueryMetricsSnapshot) {
         Frame::MetricsReply(json) => {
             let parsed = tempstream_obsv::Json::parse(&json).expect("valid JSON");
@@ -844,7 +876,7 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
 
     // Phase 1: both shards move. Phase 2: only shard 0 (shard 1's
     // cached counts must still be served, and still be right).
@@ -909,9 +941,9 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
         }
         // The cursor delta lands on the same cut, and a second probe
         // without ingest is empty (nothing stale left to flush).
-        let d = query_delta(&mut conn, phase as u32);
+        let d = query_delta(&mut conn);
         assert_eq!(d.applied, ingested.len() as u64, "phase {phase}");
-        let quiet = query_delta(&mut conn, 100 + phase as u32);
+        let quiet = query_delta(&mut conn);
         assert!(quiet.is_empty(), "phase {phase}: {quiet:?}");
     }
 
@@ -930,7 +962,7 @@ fn version_keyed_caches_never_serve_stale_answers_across_phases() {
     // A fresh connection (fresh cursor, warm shard caches) sees the
     // same absolutes the offline comparator does.
     let want = comparator.expected(8);
-    let mut conn2 = TcpStream::connect(&addr).expect("connect 2");
+    let mut conn2 = Client::connect(&addr);
     match call(&mut conn2, &Frame::QueryTopOrigins(8)) {
         Frame::TopOriginsReply(rows) => assert_eq!(rows, want.top_origins),
         other => panic!("unexpected reply: {other:?}"),
@@ -963,12 +995,12 @@ fn delta_probe_walks_only_changed_shards() {
         shards: 2,
         ..ServerConfig::default()
     });
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
 
     // Hot shard 0, idle shard 1: the delta probe re-snapshots only the
     // shard whose version moved — one walk, not two.
     ingest_all(&mut conn, &shard0[..100], 50);
-    assert!(!query_delta(&mut conn, 1).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         1,
@@ -976,7 +1008,7 @@ fn delta_probe_walks_only_changed_shards() {
     );
 
     ingest_all(&mut conn, &shard0[100..200], 50);
-    assert!(!query_delta(&mut conn, 2).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(grammar_walks(&mut conn), 2, "hot-shard probes stay O(1)");
 
     // A full absolute query touches every shard, but shard 0's counts
@@ -993,7 +1025,7 @@ fn delta_probe_walks_only_changed_shards() {
         call(&mut conn, &Frame::QueryStreamFraction),
         Frame::StreamFractionReply { .. }
     ));
-    assert!(query_delta(&mut conn, 3).is_empty());
+    assert!(query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         3,
@@ -1002,7 +1034,7 @@ fn delta_probe_walks_only_changed_shards() {
 
     // Waking the other shard costs exactly one more walk.
     ingest_all(&mut conn, &shard1[..100], 50);
-    assert!(!query_delta(&mut conn, 4).is_empty());
+    assert!(!query_delta(&mut conn).is_empty());
     assert_eq!(
         grammar_walks(&mut conn),
         4,
@@ -1018,7 +1050,7 @@ fn draining_server_refuses_new_ingest_but_acked_records_survive() {
     // Covered end-to-end by the shutdown paths above; here the focus
     // is that a post-shutdown server really exited (listener gone).
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let mut conn = Client::connect(&addr);
     ingest_all(&mut conn, &seeded_records(9, 64), 64);
     shutdown(&mut conn);
     handle.join().expect("server thread").expect("server run");
